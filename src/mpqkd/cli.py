@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .model import SystemParams
 from .optimize import OptimizationProblem, optimize_intensities
@@ -60,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_spec(args.config)
     if args.workers is not None:
-        spec = type(spec)(**{**spec.__dict__, "workers": args.workers})
+        spec = replace(spec, workers=args.workers)
     if args.out is not None:
-        spec = type(spec)(**{**spec.__dict__, "out": args.out})
+        spec = replace(spec, out=args.out)
     rows = run_sweep(spec)
     if spec.out:
         print(f"wrote {len(rows)} rows to {spec.out}")

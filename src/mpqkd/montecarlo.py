@@ -19,24 +19,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Scenario,
-    pairing_rate,
-    round_click_prob,
-    single_photon_ratio,
-    z_bit_error,
-    z_pair_ratio,
-)
+from .model import Scenario
 
 __all__ = [
     "Rounds",
-    "RoundRecord",
-    "PairRecord",
+    "Pairs",
+    "BASES",
+    "UNSET",
     "Estimate",
     "EmpiricalStats",
     "simulate_rounds",
@@ -48,25 +41,20 @@ __all__ = [
 
 PHASE_SLICES = 16
 
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round (materialized view of a Rounds row)."""
-
-    index: int
-    z_a: int
-    z_b: int
-    n_a: int
-    n_b: int
-    clicked: bool
-    detector: int  # 0 = L, 1 = R; meaningful only when clicked
-    phase_a: int  # phase slice in [0, 16)
-    phase_b: int
+# Sift labels; a pair's basis column holds the index into BASES.
+BASES = ("Z", "X", "zero", "discard")
+Z, X, ZERO, DISCARD = range(len(BASES))
+# Value of a sift column that is not defined for a pair (or not yet sifted).
+UNSET = -1
 
 
 @dataclass
 class Rounds:
-    """Column-oriented round storage; behaves as a sequence of RoundRecord."""
+    """Column-oriented round storage, one entry per protocol round.
+
+    ``detector`` is 0 = L, 1 = R and meaningful only where ``clicked``;
+    phases are slices in [0, 16).
+    """
 
     z_a: np.ndarray
     z_b: np.ndarray
@@ -80,47 +68,30 @@ class Rounds:
     def __len__(self) -> int:
         return len(self.z_a)
 
-    def __getitem__(self, index: int) -> RoundRecord:
-        return RoundRecord(
-            index=index,
-            z_a=int(self.z_a[index]),
-            z_b=int(self.z_b[index]),
-            n_a=int(self.n_a[index]),
-            n_b=int(self.n_b[index]),
-            clicked=bool(self.clicked[index]),
-            detector=int(self.detector[index]),
-            phase_a=int(self.phase_a[index]),
-            phase_b=int(self.phase_b[index]),
-        )
 
-    def __iter__(self) -> Iterator[RoundRecord]:
-        for i in range(len(self)):
-            yield self[i]
+@dataclass
+class Pairs:
+    """Paired clicked rounds as columns, one entry per pair.
 
-
-@dataclass(frozen=True)
-class PairRecord:
-    """Two paired clicked rounds with their sift annotations.
-
-    ``basis`` is None before sifting, then one of "Z", "X", "zero",
-    "discard".  Key bits and the error flag are set for Z pairs (and key
-    bits for kept X pairs); the error flag is only meaningful for Z pairs.
+    ``i`` < ``j`` index the two rounds in ``Rounds``.  The sift columns are
+    UNSET until ``sift_and_map`` fills them: ``basis`` indexes ``BASES``;
+    key bits ``kappa_a``/``kappa_b`` are 0/1 for Z and X pairs; the
+    ``error`` flag is 0/1 for Z pairs only.
     """
 
-    i: int
-    j: int
-    z_i: tuple[int, int]
-    z_j: tuple[int, int]
-    n_i: tuple[int, int]
-    n_j: tuple[int, int]
-    detector_i: int
-    detector_j: int
-    phase_i: tuple[int, int]
-    phase_j: tuple[int, int]
-    basis: str | None = None
-    kappa_a: int | None = None
-    kappa_b: int | None = None
-    error: bool | None = None
+    i: np.ndarray
+    j: np.ndarray
+    basis: np.ndarray
+    kappa_a: np.ndarray
+    kappa_b: np.ndarray
+    error: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+
+def _unset(n: int) -> np.ndarray:
+    return np.full(n, UNSET, dtype=np.int8)
 
 
 def simulate_rounds(
@@ -181,99 +152,70 @@ def simulate_rounds(
     )
 
 
-def pair_clicks(rounds: Rounds, lam: float) -> list[PairRecord]:
+def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
     """Greedy left-to-right pairing of clicked rounds.
 
     At most one clicked round is pending.  The next click pairs with it when
     the index gap is within the maximal interval; otherwise the stale click
     is dropped and the new one becomes pending.  Each click joins at most
     one pair.
+
+    Vectorized by run parity: call a gap between consecutive clicks short
+    when it is within the interval.  A maximal run of short gaps always
+    starts with its first click pending, so greedy pairing takes the gaps
+    at even offsets from the run start and skips the odd ones.
     """
     if not (lam == math.inf or lam >= 1):
         raise ValueError(f"pairing interval must be >= 1 or inf, got {lam}")
-    pairs: list[PairRecord] = []
-    pending = -1
-    for index in np.flatnonzero(rounds.clicked):
-        i = int(index)
-        if pending < 0:
-            pending = i
-        elif i - pending <= lam:
-            pairs.append(
-                PairRecord(
-                    i=pending,
-                    j=i,
-                    z_i=(int(rounds.z_a[pending]), int(rounds.z_b[pending])),
-                    z_j=(int(rounds.z_a[i]), int(rounds.z_b[i])),
-                    n_i=(int(rounds.n_a[pending]), int(rounds.n_b[pending])),
-                    n_j=(int(rounds.n_a[i]), int(rounds.n_b[i])),
-                    detector_i=int(rounds.detector[pending]),
-                    detector_j=int(rounds.detector[i]),
-                    phase_i=(int(rounds.phase_a[pending]), int(rounds.phase_b[pending])),
-                    phase_j=(int(rounds.phase_a[i]), int(rounds.phase_b[i])),
-                )
-            )
-            pending = -1
-        else:
-            pending = i
-    return pairs
+    clicks = np.flatnonzero(rounds.clicked)
+    short = np.diff(clicks) <= lam
+    gap = np.arange(short.size)
+    run_start = np.maximum.accumulate(np.where(short, 0, gap + 1))
+    take = short & ((gap - run_start) % 2 == 0)
+    i, j = clicks[:-1][take], clicks[1:][take]
+    n = i.size
+    return Pairs(i=i, j=j, basis=_unset(n), kappa_a=_unset(n), kappa_b=_unset(n), error=_unset(n))
 
 
-def _party_label(bit_i: int, bit_j: int) -> str:
-    if bit_i == bit_j:
-        return "zero" if bit_i == 0 else "X"
-    return "Z"
+def _party_label(bit_i: np.ndarray, bit_j: np.ndarray) -> np.ndarray:
+    return np.where(bit_i != bit_j, Z, np.where(bit_i == 0, ZERO, X))
 
 
-def sift_and_map(
-    pairs: Sequence[PairRecord], scenario: Scenario, seed: int = 0
-) -> list[PairRecord]:
+def sift_and_map(rounds: Rounds, pairs: Pairs, scenario: Scenario, seed: int = 0) -> Pairs:
     """Basis sifting and key mapping.
 
     Z pairs map key bits from which round carried the signal pulse (Alice
     and Bob use opposite conventions, so matching combinations agree).  X
     pairs derive bits from the phase-slice difference, keep only matching
     alignment angles, flip Bob's bit on an (L,R)/(R,L) detector pattern and
-    then pass it through the misalignment channel.
+    then pass it through the misalignment channel, one uniform draw per kept
+    X pair in pair order.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     half = PHASE_SLICES // 2
-    out: list[PairRecord] = []
-    for pair in pairs:
-        label_a = _party_label(pair.z_i[0], pair.z_j[0])
-        label_b = _party_label(pair.z_i[1], pair.z_j[1])
-        if label_a != label_b:
-            out.append(replace(pair, basis="discard"))
-            continue
-        if label_a == "zero":
-            out.append(replace(pair, basis="zero"))
-            continue
-        if label_a == "Z":
-            kappa_a = 0 if (pair.z_i[0], pair.z_j[0]) == (0, 1) else 1
-            kappa_b = 1 if (pair.z_i[1], pair.z_j[1]) == (0, 1) else 0
-            out.append(
-                replace(
-                    pair,
-                    basis="Z",
-                    kappa_a=kappa_a,
-                    kappa_b=kappa_b,
-                    error=kappa_a != kappa_b,
-                )
-            )
-            continue
-        # X pair: bits and alignment angles from the phase-slice difference
-        diff_a = (pair.phase_j[0] - pair.phase_i[0]) % PHASE_SLICES
-        diff_b = (pair.phase_j[1] - pair.phase_i[1]) % PHASE_SLICES
-        if diff_a % half != diff_b % half:
-            out.append(replace(pair, basis="discard"))
-            continue
-        kappa_a = 1 if diff_a >= half else 0
-        kappa_b = 1 if diff_b >= half else 0
-        if pair.detector_i != pair.detector_j:
-            kappa_b ^= 1
-        if rng.random() < scenario.params.e_d:
-            kappa_b ^= 1
-        out.append(replace(pair, basis="X", kappa_a=kappa_a, kappa_b=kappa_b))
-    return out
+    i, j = pairs.i, pairs.j
+    a_i, a_j = rounds.z_a[i], rounds.z_a[j]
+    b_i, b_j = rounds.z_b[i], rounds.z_b[j]
+    label = _party_label(a_i, a_j)
+    basis = np.where(label == _party_label(b_i, b_j), label, DISCARD).astype(np.int8)
+
+    # X pair: bits and alignment angles from the phase-slice difference
+    diff_a = (rounds.phase_a[j].astype(np.int16) - rounds.phase_a[i]) % PHASE_SLICES
+    diff_b = (rounds.phase_b[j].astype(np.int16) - rounds.phase_b[i]) % PHASE_SLICES
+    basis[(basis == X) & (diff_a % half != diff_b % half)] = DISCARD
+
+    kappa_a, kappa_b, error = _unset(i.size), _unset(i.size), _unset(i.size)
+    z = basis == Z
+    # Z pair: Alice's bit is 0 on z bits (0, 1), Bob's is 1 on (0, 1)
+    kappa_a[z] = a_i[z]
+    kappa_b[z] = b_j[z]
+    error[z] = a_i[z] != b_j[z]
+    x = basis == X
+    flip = rounds.detector[i[x]] != rounds.detector[j[x]]
+    flip ^= rng.random(np.count_nonzero(x)) < scenario.params.e_d
+    kappa_a[x] = diff_a[x] >= half
+    kappa_b[x] = (diff_b[x] >= half) ^ flip
+    return Pairs(i=i, j=j, basis=basis, kappa_a=kappa_a, kappa_b=kappa_b, error=error)
 
 
 @dataclass(frozen=True)
@@ -316,9 +258,7 @@ class EmpiricalStats:
     q_bar_hat: Estimate | None
 
 
-def estimate_statistics(
-    pairs: Sequence[PairRecord], rounds: Rounds, scenario: Scenario
-) -> EmpiricalStats:
+def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
     """Aggregate click, pairing, sifting and error frequencies.
 
     ``pairs`` must already be sifted.  The single-photon tag uses the source
@@ -326,45 +266,39 @@ def estimate_statistics(
     """
     n_rounds = len(rounds)
     clicks = int(np.count_nonzero(rounds.clicked))
-    z_pairs = [p for p in pairs if p.basis == "Z"]
-    z_errors = sum(1 for p in z_pairs if p.error)
-    single_photon = sum(
-        1 for p in z_pairs if p.n_i[0] + p.n_j[0] == 1 and p.n_i[1] + p.n_j[1] == 1
+    z = pairs.basis == Z
+    z_pairs = int(np.count_nonzero(z))
+    z_errors = int(np.count_nonzero(pairs.error[z] == 1))
+    i, j = pairs.i[z], pairs.j[z]
+    single_photon = int(
+        np.count_nonzero(
+            (rounds.n_a[i] + rounds.n_a[j] == 1) & (rounds.n_b[i] + rounds.n_b[j] == 1)
+        )
     )
     return EmpiricalStats(
         p_hat=_estimate(clicks, n_rounds),
         r_p_hat=_estimate(len(pairs), n_rounds),
-        r_s_hat=_estimate(len(z_pairs), len(pairs)),
-        e_z_hat=_estimate(z_errors, len(z_pairs)),
-        q_bar_hat=_estimate(single_photon, len(z_pairs)),
+        r_s_hat=_estimate(z_pairs, len(pairs)),
+        e_z_hat=_estimate(z_errors, z_pairs),
+        q_bar_hat=_estimate(single_photon, z_pairs),
     )
 
 
-def analytic_reference(scenario: Scenario) -> dict[str, float]:
-    """Model-core values the empirical statistics are compared against."""
-    p = round_click_prob(scenario)
-    return {
-        "p": p,
-        "r_p": pairing_rate(p, scenario.lam),
-        "r_s": z_pair_ratio(scenario),
-        "e_z": z_bit_error(scenario),
-        "q_bar": single_photon_ratio(scenario),
-    }
-
-
-def write_pair_trace(pairs: Sequence[PairRecord], path: str) -> None:
+def write_pair_trace(pairs: Pairs, path: str) -> None:
     """Dump one CSV row per pair: i, j, basis, kappa_a, kappa_b, error."""
+    # UNSET (-1) indexes the last entry, the empty field
+    basis_text = np.array(BASES + ("",))
+    bit_text = np.array(["0", "1", ""])
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["i", "j", "basis", "kappa_a", "kappa_b", "error"])
-        for pair in pairs:
-            writer.writerow(
-                [
-                    pair.i,
-                    pair.j,
-                    pair.basis if pair.basis is not None else "",
-                    pair.kappa_a if pair.kappa_a is not None else "",
-                    pair.kappa_b if pair.kappa_b is not None else "",
-                    int(pair.error) if pair.error is not None else "",
-                ]
+        writer.writerows(
+            zip(
+                pairs.i.tolist(),
+                pairs.j.tolist(),
+                basis_text[pairs.basis].tolist(),
+                bit_text[pairs.kappa_a].tolist(),
+                bit_text[pairs.kappa_b].tolist(),
+                bit_text[pairs.error].tolist(),
             )
+        )

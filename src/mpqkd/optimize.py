@@ -239,7 +239,7 @@ def optimize_intensities(problem: OptimizationProblem, grid_resolution: int = 64
     return OptimumReport(
         mu_a_star=float(x[0]),
         mu_b_star=float(x[1]),
-        r_star=r_star,
+        r_star=float(r_star),
         iterations=iterations + polish_steps,
         converged=_stationary(rate, x, r_star),
         grid_resolution=grid_resolution,

@@ -25,13 +25,7 @@ from .decoy import (
     single_photon_z_yield,
 )
 from .model import SystemParams, key_rate, make_scenario
-from .montecarlo import (
-    analytic_reference,
-    estimate_statistics,
-    pair_clicks,
-    sift_and_map,
-    simulate_rounds,
-)
+from .montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from .optimize import OptimizationProblem, optimize_intensities, plob_bound
 
 __all__ = [
@@ -133,8 +127,11 @@ class SweepSpec:
                 problems.append("delta_list: gaps must be >= 0 km")
             if not self.lambda_list:
                 problems.append("lambda_list: must be nonempty")
-            elif any(not (lam == math.inf or lam >= 1) for lam in self.lambda_list):
-                problems.append("lambda_list: intervals must be >= 1 or inf")
+            elif any(
+                not (lam == math.inf or (lam >= 1 and float(lam).is_integer()))
+                for lam in self.lambda_list
+            ):
+                problems.append("lambda_list: intervals must be integers >= 1 or inf")
             if not self.e_d_list:
                 problems.append("e_d_list: must be nonempty")
             elif any(not 0.0 <= e <= 0.5 for e in self.e_d_list):
@@ -385,29 +382,9 @@ def _format(value: Any) -> str:
 
 def format_row(row: ResultRow) -> str:
     """One CSV line for a result row, in the fixed column order."""
-    values = (
-        row.total_km,
-        row.distance_a_km,
-        row.distance_b_km,
-        row.delta_km,
-        row.lam,
-        row.e_d,
-        row.method,
-        row.mu_a,
-        row.mu_b,
-        row.rate,
-        row.plob,
-        row.plob_det,
-        row.p,
-        row.r_p,
-        row.r_s,
-        row.q_bar_11,
-        row.e_z,
-        row.y_11,
-        row.e_11,
-        row.raw_rate,
+    return ",".join(
+        _format(getattr(row, "lam" if column == "lambda" else column)) for column in CSV_COLUMNS
     )
-    return ",".join(_format(v) for v in values)
 
 
 def write_rows(rows: Iterable[ResultRow], path: str) -> None:
@@ -428,8 +405,7 @@ def _verification_points(spec: SweepSpec, limit: int = 2) -> list[tuple[float, f
     points = []
     for delta_km in deltas[:limit]:
         totals = _grid_totals(spec, delta_km)
-        lam = lams[0]
-        points.append((totals[0], delta_km, lam if lam != math.inf else lam))
+        points.append((totals[0], delta_km, lams[0]))
         if len(points) >= limit:
             break
     return points
@@ -452,9 +428,9 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
         label = f"point{point_index}(total={total:g},gap={delta_km:g},lam={lam:g})"
 
         rounds = simulate_rounds(scenario, spec.n_rounds, spec.seed, stream=point_index)
-        pairs = sift_and_map(pair_clicks(rounds, scenario.lam), scenario, seed=spec.seed)
-        stats = estimate_statistics(pairs, rounds, scenario)
-        reference = analytic_reference(scenario)
+        pairs = sift_and_map(rounds, pair_clicks(rounds, scenario.lam), scenario, seed=spec.seed)
+        stats = estimate_statistics(pairs, rounds)
+        reference = key_rate(scenario)
         for name, estimate in (
             ("p", stats.p_hat),
             ("r_p", stats.r_p_hat),
@@ -465,7 +441,7 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
                     {"check": f"{label}:{name}", "passed": False, "deviation": math.inf}
                 )
                 continue
-            ref = reference[name]
+            ref = getattr(reference, name)
             band = 3.0 * math.sqrt(max(ref * (1.0 - ref), 1e-300) / estimate.denominator)
             deviation = abs(estimate.value - ref)
             report.append(

@@ -24,13 +24,7 @@ from mpqkd.model import (
     pairing_rate,
     transmittance_from_distance,
 )
-from mpqkd.montecarlo import (
-    analytic_reference,
-    estimate_statistics,
-    pair_clicks,
-    sift_and_map,
-    simulate_rounds,
-)
+from mpqkd.montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from mpqkd.optimize import (
     OptimizationProblem,
     adding_fiber_rate,
@@ -231,13 +225,13 @@ def test_criterion_10_monte_carlo_agreement():
     started = time.time()
     scenario = make_scenario(100.0, 100.0, 0.5, 0.5, 100, SystemParams(p_d=0.0))
     rounds = simulate_rounds(scenario, 10_000_000, seed=20240817)
-    pairs = sift_and_map(pair_clicks(rounds, scenario.lam), scenario)
-    stats = estimate_statistics(pairs, rounds, scenario)
-    reference = analytic_reference(scenario)
+    pairs = sift_and_map(rounds, pair_clicks(rounds, scenario.lam), scenario)
+    stats = estimate_statistics(pairs, rounds)
+    reference = key_rate(scenario)
     ok = True
     details = []
     for name, estimate in (("p", stats.p_hat), ("r_p", stats.r_p_hat), ("r_s", stats.r_s_hat)):
-        ref = reference[name]
+        ref = getattr(reference, name)
         band = 3.0 * math.sqrt(ref * (1.0 - ref) / estimate.denominator)
         good = abs(estimate.value - ref) <= band
         ok &= good

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpqkd.model import SystemParams, make_scenario, pairing_rate
+from mpqkd.model import SystemParams, key_rate, make_scenario, pairing_rate
 from mpqkd.montecarlo import (
+    BASES,
+    UNSET,
     EmpiricalStats,
-    PairRecord,
     Rounds,
-    analytic_reference,
     estimate_statistics,
     pair_clicks,
     sift_and_map,
@@ -37,19 +39,56 @@ def synthetic_rounds(n: int, clicked_at=(), **column_overrides) -> Rounds:
     return Rounds(**columns)
 
 
-def pair_with(z_i, z_j, det=(0, 0), phases=((0, 0), (0, 0))) -> PairRecord:
-    return PairRecord(
-        i=0,
-        j=1,
-        z_i=z_i,
-        z_j=z_j,
-        n_i=(0, 0),
-        n_j=(0, 0),
-        detector_i=det[0],
-        detector_j=det[1],
-        phase_i=phases[0],
-        phase_j=phases[1],
+def pair_rounds(z_i, z_j, det=(0, 0), phases=((0, 0), (0, 0)), copies=1) -> Rounds:
+    """Two clicked rounds per copy with the given (Alice, Bob) z bits,
+    detectors and phase slices; pair_clicks(.., 1) pairs each copy."""
+
+    def column(first, second, dtype):
+        return np.tile(np.array([first, second], dtype=dtype), copies)
+
+    return synthetic_rounds(
+        2 * copies,
+        clicked_at=range(2 * copies),
+        z_a=column(z_i[0], z_j[0], np.uint8),
+        z_b=column(z_i[1], z_j[1], np.uint8),
+        detector=column(det[0], det[1], np.uint8),
+        phase_a=column(phases[0][0], phases[1][0], np.uint8),
+        phase_b=column(phases[0][1], phases[1][1], np.uint8),
     )
+
+
+def sift_one(sc, z_i, z_j, det=(0, 0), phases=((0, 0), (0, 0))) -> dict:
+    """Sift columns of the single pair built by pair_rounds, as a dict."""
+    rounds = pair_rounds(z_i, z_j, det, phases)
+    sifted = sift_and_map(rounds, pair_clicks(rounds, 1), sc)
+    assert len(sifted) == 1
+    return {
+        "basis": BASES[sifted.basis[0]],
+        "kappa_a": int(sifted.kappa_a[0]),
+        "kappa_b": int(sifted.kappa_b[0]),
+        "error": int(sifted.error[0]),
+    }
+
+
+def index_pairs(pairs) -> list[tuple[int, int]]:
+    return list(zip(pairs.i.tolist(), pairs.j.tolist()))
+
+
+def sifted_pipeline(sc, rounds, seed=0):
+    return sift_and_map(rounds, pair_clicks(rounds, sc.lam), sc, seed=seed)
+
+
+def greedy_pairs(clicked, lam) -> list[tuple[int, int]]:
+    """Reference: the one-pending-click greedy loop pair_clicks vectorizes."""
+    pairs = []
+    pending = None
+    for k in np.flatnonzero(clicked).tolist():
+        if pending is not None and k - pending <= lam:
+            pairs.append((pending, k))
+            pending = None
+        else:
+            pending = k
+    return pairs
 
 
 class TestSimulateRounds:
@@ -74,8 +113,8 @@ class TestSimulateRounds:
     def test_click_frequency_matches_model(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=11)
-        stats = estimate_statistics([], rounds, sc)
-        assert stats.p_hat.within_sigmas(analytic_reference(sc)["p"])
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
+        assert stats.p_hat.within_sigmas(key_rate(sc).p)
 
     def test_single_detector_flag(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
@@ -85,9 +124,6 @@ class TestSimulateRounds:
     def test_record_view(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000, seed=5)
-        record = rounds[10]
-        assert record.index == 10
-        assert record.z_a in (0, 1) and record.z_b in (0, 1)
         assert len(rounds) == 1_000
 
     def test_rejects_empty_run(self):
@@ -99,38 +135,35 @@ class TestSimulateRounds:
 class TestPairClicks:
     def test_adjacent_clicks_pair(self):
         rounds = synthetic_rounds(4, clicked_at=[1, 2])
-        pairs = pair_clicks(rounds, 1)
-        assert [(p.i, p.j) for p in pairs] == [(1, 2)]
+        assert index_pairs(pair_clicks(rounds, 1)) == [(1, 2)]
 
     def test_stale_click_discarded(self):
         rounds = synthetic_rounds(12, clicked_at=[1, 2, 5, 9])
-        pairs = pair_clicks(rounds, 3)
-        assert [(p.i, p.j) for p in pairs] == [(1, 2)]
+        assert index_pairs(pair_clicks(rounds, 3)) == [(1, 2)]
 
     def test_gap_exactly_lambda_pairs(self):
         rounds = synthetic_rounds(10, clicked_at=[0, 3])
-        assert [(p.i, p.j) for p in pair_clicks(rounds, 3)] == [(0, 3)]
-        assert pair_clicks(rounds, 2) == []
+        assert index_pairs(pair_clicks(rounds, 3)) == [(0, 3)]
+        assert len(pair_clicks(rounds, 2)) == 0
 
     def test_click_used_once(self):
         rounds = synthetic_rounds(10, clicked_at=[0, 1, 2, 3])
-        pairs = pair_clicks(rounds, 5)
-        assert [(p.i, p.j) for p in pairs] == [(0, 1), (2, 3)]
+        assert index_pairs(pair_clicks(rounds, 5)) == [(0, 1), (2, 3)]
 
     def test_infinite_interval(self):
         rounds = synthetic_rounds(1000, clicked_at=[3, 900])
-        assert [(p.i, p.j) for p in pair_clicks(rounds, math.inf)] == [(3, 900)]
+        assert index_pairs(pair_clicks(rounds, math.inf)) == [(3, 900)]
 
     def test_pair_validity_properties(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 50, NO_DARK)
         rounds = simulate_rounds(sc, 500_000, seed=13)
         pairs = pair_clicks(rounds, sc.lam)
         used = set()
-        for pair in pairs:
-            assert pair.j - pair.i <= sc.lam
-            assert pair.i not in used and pair.j not in used
-            used.add(pair.i)
-            used.add(pair.j)
+        for i, j in index_pairs(pairs):
+            assert j - i <= sc.lam
+            assert i not in used and j not in used
+            used.add(i)
+            used.add(j)
         assert 2 * len(pairs) <= int(np.count_nonzero(rounds.clicked))
 
     def test_bernoulli_pairing_rate_matches_formula(self):
@@ -142,70 +175,93 @@ class TestPairClicks:
         empirical = len(pair_clicks(rounds, lam)) / n
         assert empirical == pytest.approx(pairing_rate(p, lam), rel=1e-2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        clicked=st.lists(st.booleans(), max_size=2_000),
+        lam=st.sampled_from([1, 2, 3, 100, math.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_greedy_loop(self, clicked, lam, seed):
+        n = len(clicked)
+        rng = np.random.Generator(np.random.Philox(seed))
+        rounds = synthetic_rounds(
+            n,
+            clicked=np.array(clicked, dtype=bool),
+            z_a=rng.integers(0, 2, n, dtype=np.uint8),
+            z_b=rng.integers(0, 2, n, dtype=np.uint8),
+            detector=rng.integers(0, 2, n, dtype=np.uint8),
+            phase_a=rng.integers(0, 16, n, dtype=np.uint8),
+            phase_b=rng.integers(0, 16, n, dtype=np.uint8),
+        )
+        pairs = pair_clicks(rounds, lam)
+        found = index_pairs(pairs)
+        assert found == greedy_pairs(clicked, lam)
+        members = [k for pair in found for k in pair]
+        assert len(set(members)) == len(members)
+        assert all(clicked[i] and clicked[j] and 0 < j - i <= lam for i, j in found)
+        sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, SystemParams(e_d=0.5))
+        basis = sift_and_map(rounds, pairs, sc, seed=seed).basis
+        counts = [int(np.count_nonzero(basis == code)) for code in range(len(BASES))]
+        assert sum(counts) == len(pairs)
+
 
 class TestSiftAndMap:
     def test_matching_z_pair_without_error(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
-        pair = pair_with(z_i=(0, 1), z_j=(1, 0))
-        (sifted,) = sift_and_map([pair], sc)
-        assert sifted.basis == "Z"
-        assert sifted.kappa_a == 0 and sifted.kappa_b == 0
-        assert sifted.error is False
+        sifted = sift_one(sc, z_i=(0, 1), z_j=(1, 0))
+        assert sifted["basis"] == "Z"
+        assert sifted["kappa_a"] == 0 and sifted["kappa_b"] == 0
+        assert sifted["error"] == 0
 
     def test_same_round_signals_give_error(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
-        (sifted,) = sift_and_map([pair_with(z_i=(0, 0), z_j=(1, 1))], sc)
-        assert sifted.basis == "Z"
-        assert sifted.error is True
+        sifted = sift_one(sc, z_i=(0, 0), z_j=(1, 1))
+        assert sifted["basis"] == "Z"
+        assert sifted["error"] == 1
 
     def test_all_vacuum_pair_labeled_zero(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
-        (sifted,) = sift_and_map([pair_with(z_i=(0, 0), z_j=(0, 0))], sc)
-        assert sifted.basis == "zero"
-        assert sifted.kappa_a is None
+        sifted = sift_one(sc, z_i=(0, 0), z_j=(0, 0))
+        assert sifted["basis"] == "zero"
+        assert sifted["kappa_a"] == UNSET
 
     def test_basis_mismatch_discarded(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
-        (sifted,) = sift_and_map([pair_with(z_i=(1, 0), z_j=(1, 1))], sc)
-        assert sifted.basis == "discard"
+        assert sift_one(sc, z_i=(1, 0), z_j=(1, 1))["basis"] == "discard"
 
     def test_x_pair_alignment_angle_rule(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, SystemParams(p_d=0.0, e_d=0.0))
         # same slice difference mod 8: kept; kappa from the half-turn bit
-        kept = pair_with(z_i=(1, 1), z_j=(1, 1), phases=((0, 2), (9, 3)))
-        (sifted,) = sift_and_map([kept], sc)
-        assert sifted.basis == "X"
-        assert sifted.kappa_a == 1  # slice diff 9 >= 8
-        assert sifted.kappa_b == 0  # slice diff 1
-        mismatched = pair_with(z_i=(1, 1), z_j=(1, 1), phases=((0, 2), (9, 4)))
-        (sifted2,) = sift_and_map([mismatched], sc)
-        assert sifted2.basis == "discard"
+        sifted = sift_one(sc, z_i=(1, 1), z_j=(1, 1), phases=((0, 2), (9, 3)))
+        assert sifted["basis"] == "X"
+        assert sifted["kappa_a"] == 1  # slice diff 9 >= 8
+        assert sifted["kappa_b"] == 0  # slice diff 1
+        assert sifted["error"] == UNSET
+        mismatched = sift_one(sc, z_i=(1, 1), z_j=(1, 1), phases=((0, 2), (9, 4)))
+        assert mismatched["basis"] == "discard"
 
     def test_x_pair_detector_pattern_flip(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, SystemParams(p_d=0.0, e_d=0.0))
-        same_detector = pair_with(z_i=(1, 1), z_j=(1, 1), det=(0, 0), phases=((0, 0), (0, 0)))
-        split_detector = pair_with(z_i=(1, 1), z_j=(1, 1), det=(0, 1), phases=((0, 0), (0, 0)))
-        (kept_same,) = sift_and_map([same_detector], sc)
-        (kept_split,) = sift_and_map([split_detector], sc)
-        assert kept_same.kappa_b == 0
-        assert kept_split.kappa_b == 1
+        kept_same = sift_one(sc, z_i=(1, 1), z_j=(1, 1), det=(0, 0))
+        kept_split = sift_one(sc, z_i=(1, 1), z_j=(1, 1), det=(0, 1))
+        assert kept_same["kappa_b"] == 0
+        assert kept_split["kappa_b"] == 1
 
     def test_misalignment_flips_with_probability(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, SystemParams(p_d=0.0, e_d=0.5))
-        pairs = [
-            pair_with(z_i=(1, 1), z_j=(1, 1), phases=((0, 0), (0, 0))) for _ in range(4000)
-        ]
-        sifted = sift_and_map(pairs, sc, seed=17)
-        flipped = sum(1 for p in sifted if p.kappa_b == 1)
+        rounds = pair_rounds(z_i=(1, 1), z_j=(1, 1), copies=4000)
+        sifted = sift_and_map(rounds, pair_clicks(rounds, 1), sc, seed=17)
+        assert len(sifted) == 4000
+        flipped = int(np.count_nonzero(sifted.kappa_b == 1))
         assert 0.45 < flipped / len(sifted) < 0.55
 
     def test_sifting_conservation(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 300_000, seed=23)
-        pairs = sift_and_map(pair_clicks(rounds, sc.lam), sc)
-        by_basis = {"Z": 0, "X": 0, "zero": 0, "discard": 0}
-        for pair in pairs:
-            by_basis[pair.basis] += 1
+        pairs = sifted_pipeline(sc, rounds)
+        by_basis = {
+            name: int(np.count_nonzero(pairs.basis == code)) for code, name in enumerate(BASES)
+        }
         assert sum(by_basis.values()) == len(pairs)
         assert by_basis["Z"] > 0 and by_basis["X"] > 0
 
@@ -214,7 +270,7 @@ class TestEstimateStatistics:
     def test_no_clicks_flags_undefined(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
         rounds = synthetic_rounds(100)
-        stats = estimate_statistics([], rounds, sc)
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
         assert stats.p_hat.value == 0.0
         assert stats.r_s_hat is None
         assert stats.e_z_hat is None
@@ -223,31 +279,29 @@ class TestEstimateStatistics:
     def test_no_darks_no_z_errors(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=31)
-        stats = estimate_statistics(sift_and_map(pair_clicks(rounds, sc.lam), sc), rounds, sc)
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
         assert stats.e_z_hat.value == 0.0
 
     def test_statistics_match_model_within_three_sigma(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=37)
-        stats = estimate_statistics(sift_and_map(pair_clicks(rounds, sc.lam), sc), rounds, sc)
-        ref = analytic_reference(sc)
-        assert stats.p_hat.within_sigmas(ref["p"])
-        assert stats.r_p_hat.within_sigmas(ref["r_p"])
-        assert stats.r_s_hat.within_sigmas(ref["r_s"])
-        assert stats.q_bar_hat.within_sigmas(ref["q_bar"])
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
+        ref = key_rate(sc)
+        assert stats.p_hat.within_sigmas(ref.p)
+        assert stats.r_p_hat.within_sigmas(ref.r_p)
+        assert stats.r_s_hat.within_sigmas(ref.r_s)
+        assert stats.q_bar_hat.within_sigmas(ref.q_bar_11)
 
     def test_three_sigma_coverage_across_seeds(self):
         # reduced-N meta-test: every statistic within 3 reference standard
         # errors for at least 95% of seeds
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100)
-        ref = analytic_reference(sc)
+        ref = key_rate(sc)
         passed = 0
         n_seeds = 20
         for seed in range(n_seeds):
             rounds = simulate_rounds(sc, 150_000, seed=seed)
-            stats = estimate_statistics(
-                sift_and_map(pair_clicks(rounds, sc.lam), sc, seed=seed), rounds, sc
-            )
+            stats = estimate_statistics(sifted_pipeline(sc, rounds, seed=seed), rounds)
             ok = True
             for name, est in (
                 ("p", stats.p_hat),
@@ -255,7 +309,7 @@ class TestEstimateStatistics:
                 ("r_s", stats.r_s_hat),
                 ("e_z", stats.e_z_hat),
             ):
-                reference = ref[name]
+                reference = getattr(ref, name)
                 band = 3.0 * math.sqrt(reference * (1.0 - reference) / est.denominator)
                 ok &= abs(est.value - reference) <= band
             passed += ok
@@ -266,14 +320,14 @@ class TestPairTrace:
     def test_column_order_and_content(self, tmp_path):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 200_000, seed=41)
-        pairs = sift_and_map(pair_clicks(rounds, sc.lam), sc)
+        pairs = sifted_pipeline(sc, rounds)
         path = tmp_path / "trace.csv"
         write_pair_trace(pairs, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,basis,kappa_a,kappa_b,error"
         assert len(lines) == len(pairs) + 1
-        first_z = next(p for p in pairs if p.basis == "Z")
-        row = lines[1 + pairs.index(first_z)].split(",")
-        assert row[0] == str(first_z.i) and row[1] == str(first_z.j)
+        first_z = int(np.flatnonzero(pairs.basis == BASES.index("Z"))[0])
+        row = lines[1 + first_z].split(",")
+        assert row[0] == str(pairs.i[first_z]) and row[1] == str(pairs.j[first_z])
         assert row[2] == "Z"
         assert row[5] in ("0", "1")

@@ -51,6 +51,8 @@ class TestOptimizerAgainstTables:
     def test_report_dominates_grid(self):
         problem = OptimizationProblem(100.0, 10.0, 1e3)
         report = optimize_intensities(problem)
+        # np.float64 subclasses float, so isinstance alone would not tell
+        assert type(report.r_star) is float
         for i in range(1, 9):
             for j in range(1, 9):
                 assert report.r_star >= problem.rate(i / 8.0, j / 8.0)

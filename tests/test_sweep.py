@@ -57,6 +57,8 @@ class TestSpecParsing:
         assert spec.lambda_list == (math.inf, 10.0)
         with pytest.raises(SweepValidationError, match="cannot parse"):
             load_spec({**CUSTOM_BASE, "lambda_list": ["many"]})
+        with pytest.raises(SweepValidationError, match="lambda_list: intervals must be integers"):
+            load_spec({**CUSTOM_BASE, "lambda_list": [10, 2.5]})
 
     def test_fixed_intensity_needs_mu(self):
         with pytest.raises(SweepValidationError, match="mu_a/mu_b"):
