@@ -1,17 +1,24 @@
 """Three-intensity decoy-state estimation for the mode-pairing protocol.
 
 The forward model produces the per-pair-intensity observables an experiment
-would report (expected detected-and-sifted ratios and error ratios), built
-from photon-number-resolved yields of the channel model.  The estimation
-side inverts those observables with linear programs over the unknown
-photon-class yields, giving a lower bound on the single-photon yield and an
-upper bound on its error rate; both are provably valid for any channel
-consistent with the observables.
+would report (expected detected-and-sifted ratios and error ratios).  The
+estimation side inverts those observables with linear programs over the
+unknown photon-class yields, giving a lower bound on the single-photon yield
+and an upper bound on its error rate; both are provably valid for any
+channel consistent with the observables.
 
 Pair classes follow the sifting structure: a pair is Z-type when each party
 kept at most one non-vacuum round (all of a party's photons travel in one
 round), and X-type when a party sent the same non-vacuum intensity in both
 rounds (photons split binomially between the rounds).
+
+The observables are exact closed forms.  Every photon-class yield is built
+from round click probabilities 1 - c (1 - eta_a)**k_a (1 - eta_b)**k_b, and
+for K ~ Poisson(A) the generating function gives E[(1 - eta)**K] =
+exp(-eta A), so averaging a yield over the Poisson photon statistics of a
+setting replaces k photons by the mean detected photon number.  The
+binomial split of a Poisson(A) total gives two independent Poisson(A / 2)
+rounds, so X pairs factor the same way.  No photon-number sum is truncated.
 """
 from __future__ import annotations
 
@@ -22,10 +29,15 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import Scenario, SystemParams, binary_entropy, click_prob_given_photons
+from .model import (
+    Scenario,
+    SystemParams,
+    binary_entropy,
+    click_prob_given_mean,
+    click_prob_given_photons,
+)
 
 __all__ = [
-    "TruncationError",
     "ObservablesInconsistentError",
     "PairIntensityVector",
     "DecoyConfig",
@@ -44,13 +56,6 @@ __all__ = [
 
 # Relative slack on the observable equality constraints inside the LPs.
 _EQUALITY_TOL = 1e-10
-# Target tail mass when folding photon-number yields into observables.
-_OBS_TAIL = 1e-12
-_OBS_CUTOFF_CAP = 400
-
-
-class TruncationError(RuntimeError):
-    """The photon-number summation cannot reach the required tail mass."""
 
 
 class ObservablesInconsistentError(RuntimeError):
@@ -208,84 +213,22 @@ def posterior_intensity_given_photons(
     return {vec: value / total for vec, value in joint.items()}
 
 
-def _poisson_cutoff(mean: float, tail: float) -> int:
-    """Smallest K with P(Poisson(mean) > K) <= tail."""
-    if mean == 0.0:
-        return 0
-    term = math.exp(-mean)
-    cdf = term
-    k = 0
-    while 1.0 - cdf > tail:
-        k += 1
-        if k > _OBS_CUTOFF_CAP:
-            raise TruncationError(
-                f"cannot reach tail {tail} below k={_OBS_CUTOFF_CAP} for mean {mean}"
-            )
-        term *= mean / k
-        cdf += term
-    return k
-
-
-def _photon_click(n_a: int, n_b: int, scenario: Scenario, dark: bool) -> float:
-    if dark:
-        return click_prob_given_photons(n_a, n_b, scenario)
-    log_pass = n_a * math.log1p(-scenario.eta_a) + n_b * math.log1p(-scenario.eta_b)
-    return -math.expm1(log_pass)
-
-
 def single_photon_z_yield(scenario: Scenario) -> float:
-    """Ground-truth Z yield of the (1, 1) photon class."""
-    return _z_yield(1, 1, scenario)
+    """Ground-truth Z yield of the (1, 1) photon class.
 
-
-def single_photon_z_error_yield(scenario: Scenario) -> float:
-    """Ground-truth erroneous-Z yield of the (1, 1) photon class."""
-    return _z_error_yield(1, 1, scenario)
-
-
-def _z_yield(k_a: int, k_b: int, scenario: Scenario) -> float:
-    """Detected-Z probability for a pair carrying k photons in total.
-
-    Each party's photons ride its single non-vacuum round; the four ways the
+    Each party's photon rides its single non-vacuum round; the four ways the
     two signal rounds interleave are equally likely, two of them stacking
     both signals in the same round.
     """
-    y = lambda a, b: _photon_click(a, b, scenario, dark=True)
-    return 0.5 * (y(0, 0) * y(k_a, k_b) + y(k_a, 0) * y(0, k_b))
+    y = lambda n_a, n_b: click_prob_given_photons(n_a, n_b, scenario)
+    return 0.5 * (y(0, 0) * y(1, 1) + y(1, 0) * y(0, 1))
 
 
-def _z_error_yield(k_a: int, k_b: int, scenario: Scenario) -> float:
-    y = lambda a, b: _photon_click(a, b, scenario, dark=True)
-    return 0.5 * y(0, 0) * y(k_a, k_b)
-
-
-def _binomial_split_weights(k: int) -> list[tuple[int, float]]:
-    scale = 0.5**k
-    return [(j, math.comb(k, j) * scale) for j in range(k + 1)]
-
-
-def _x_yield(k_a: int, k_b: int, scenario: Scenario, dark: bool = True) -> float:
-    """Detected-X probability for a pair carrying k photons in total.
-
-    Both of a party's rounds carry the same intensity, so its photons split
-    binomially between the rounds.
-    """
-    total = 0.0
-    for j_a, w_a in _binomial_split_weights(k_a):
-        for j_b, w_b in _binomial_split_weights(k_b):
-            first = _photon_click(j_a, j_b, scenario, dark)
-            second = _photon_click(k_a - j_a, k_b - j_b, scenario, dark)
-            total += w_a * w_b * first * second
-    return total
-
-
-def _x_error_yield(k_a: int, k_b: int, scenario: Scenario) -> float:
-    """Erroneous-X yield: vacuum-noise error on everything, reduced to the
-    misalignment error on the photon-only coincidences."""
-    e_0 = scenario.params.e_0
-    e_d = scenario.params.e_d
-    coincident = _x_yield(k_a, k_b, scenario, dark=False)
-    return e_0 * _x_yield(k_a, k_b, scenario, dark=True) - (e_0 - e_d) * coincident
+def single_photon_z_error_yield(scenario: Scenario) -> float:
+    """Ground-truth erroneous-Z yield of the (1, 1) photon class: only the
+    stacked interleavings err, with the empty round's dark click."""
+    y = lambda n_a, n_b: click_prob_given_photons(n_a, n_b, scenario)
+    return 0.5 * y(0, 0) * y(1, 1)
 
 
 @dataclass(frozen=True)
@@ -309,34 +252,47 @@ class DecoyObservables:
 
 
 def expected_observables(scenario: Scenario, config: DecoyConfig) -> DecoyObservables:
-    """Forward model: fold the photon-class yields through the Poisson photon
-    statistics of every realizable pair-intensity setting.
+    """Forward model: the photon-class yields averaged over the Poisson photon
+    statistics of every realizable pair-intensity setting, in closed form.
 
-    The photon sums extend far enough that the neglected tail mass stays
-    below 1e-12 for every setting.
+    With Q(x) the click probability at mean detected photon number x
+    (:func:`click_prob_given_mean`) and x = eta_a A + eta_b B for summed
+    intensities (A, B):
+
+    * Z: half the pairs stack both signals in one round, which errs on the
+      empty round's dark click 2 p_d, so ``z_error = p_d Q(x)`` and
+      ``z_total = z_error + Q(eta_a A) Q(eta_b B) / 2``;
+    * X: each round carries an independent Poisson half of the total, so
+      with h = x / 2, ``x_total = Q(h)**2``.  Photon-only coincidences
+      s**2 with s = 1 - exp(-h) err at e_d and all other detections at
+      e_0 = 1/2, so with g = 2 p_d exp(-h),
+      ``x_error = e_d s**2 + g (s + g / 2)``, written without cancellation.
+
+    These are exact: each yield is affine in the photon-survival products
+    (1 - eta)**k, whose Poisson average is exp(-eta A).
     """
     if abs(config.mu_a - scenario.mu_a) > 1e-12 or abs(config.mu_b - scenario.mu_b) > 1e-12:
         raise ValueError("config signal intensities disagree with the scenario")
+    eta_a, eta_b = scenario.eta_a, scenario.eta_b
+    p_d, e_d = scenario.params.p_d, scenario.params.e_d
 
-    def fold(settings, yield_fn, error_fn):
-        totals: dict[PairIntensityVector, float] = {}
-        errors: dict[PairIntensityVector, float] = {}
-        for vec in settings:
-            cut_a = _poisson_cutoff(vec.sum_a, _OBS_TAIL / 2.0)
-            cut_b = _poisson_cutoff(vec.sum_b, _OBS_TAIL / 2.0)
-            total = 0.0
-            error = 0.0
-            for k_a in range(cut_a + 1):
-                for k_b in range(cut_b + 1):
-                    weight = poisson_pair_prob((k_a, k_b), vec)
-                    total += weight * yield_fn(k_a, k_b, scenario)
-                    error += weight * error_fn(k_a, k_b, scenario)
-            totals[vec] = total
-            errors[vec] = error
-        return totals, errors
+    z_total: dict[PairIntensityVector, float] = {}
+    z_error: dict[PairIntensityVector, float] = {}
+    for vec in config.z_settings():
+        x_a, x_b = eta_a * vec.sum_a, eta_b * vec.sum_b
+        q_a, q_b = click_prob_given_mean(x_a, p_d), click_prob_given_mean(x_b, p_d)
+        error = p_d * click_prob_given_mean(x_a + x_b, p_d)
+        z_error[vec] = error
+        z_total[vec] = error + 0.5 * q_a * q_b
 
-    z_total, z_error = fold(config.z_settings(), _z_yield, _z_error_yield)
-    x_total, x_error = fold(config.x_settings(), _x_yield, _x_error_yield)
+    x_total: dict[PairIntensityVector, float] = {}
+    x_error: dict[PairIntensityVector, float] = {}
+    for vec in config.x_settings():
+        h = (eta_a * vec.sum_a + eta_b * vec.sum_b) / 2.0
+        s = -math.expm1(-h)
+        g = 2.0 * p_d * math.exp(-h)
+        x_total[vec] = click_prob_given_mean(h, p_d) ** 2
+        x_error[vec] = e_d * s * s + g * (s + g / 2.0)
     return DecoyObservables(z_total, z_error, x_total, x_error)
 
 
@@ -350,8 +306,6 @@ class DecoyBounds:
 
     m_z_11_lower: float
     e_z_11_upper: float
-    m_z_11_lower_by_setting: Mapping[PairIntensityVector, float]
-    e_z_11_upper_by_setting: Mapping[PairIntensityVector, float]
     m_x_11_lower: float
     e_x_11_upper: float
     q_bar_lower: float
@@ -457,9 +411,10 @@ def _solve_basis_lp(
 def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> DecoyBounds:
     """Linear-program bounds on the single-photon pair statistics.
 
-    Z and X bases are bounded independently with the same machinery; the
-    per-setting projections scale the photon-class bounds by the Poisson
-    weight of the (1, 1) class at each setting.
+    Z and X bases are bounded independently with the same machinery.
+    ``q_bar_lower`` projects the Z bound onto the signal setting: the
+    Poisson weight of the (1, 1) class times its yield bound, over the
+    setting's detected ratio (0 when the signal setting is not bounded).
     """
     z_settings = [vec for vec in config.z_settings() if vec in observables.z_total]
     if z_settings:
@@ -477,24 +432,15 @@ def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> D
     else:
         m_x_lower, e_x_upper = 0.0, 1.0
 
-    m_by_setting = {
-        vec: poisson_pair_prob((1, 1), vec) * m_z_lower for vec in z_settings
-    }
-    e_by_setting = {
-        vec: poisson_pair_prob((1, 1), vec) * e_z_upper for vec in z_settings
-    }
-
     signal = config.signal_vector()
     signal_total = observables.z_total.get(signal, 0.0)
-    q_bar_lower = (
-        m_by_setting.get(signal, 0.0) / signal_total if signal_total > 0.0 else 0.0
-    )
+    q_bar_lower = 0.0
+    if signal in z_settings and signal_total > 0.0:
+        q_bar_lower = poisson_pair_prob((1, 1), signal) * m_z_lower / signal_total
     phase_error_upper = e_x_upper / m_x_lower if m_x_lower > 0.0 else None
     return DecoyBounds(
         m_z_11_lower=m_z_lower,
         e_z_11_upper=e_z_upper,
-        m_z_11_lower_by_setting=m_by_setting,
-        e_z_11_upper_by_setting=e_by_setting,
         m_x_11_lower=m_x_lower,
         e_x_11_upper=e_x_upper,
         q_bar_lower=min(q_bar_lower, 1.0),

@@ -29,6 +29,7 @@ __all__ = [
     "distance_from_transmittance",
     "link_at",
     "make_scenario",
+    "click_prob_given_mean",
     "click_prob_given_intensity",
     "click_prob_given_photons",
     "round_click_prob",
@@ -220,13 +221,22 @@ class KeyRateBreakdown:
     rate: float
 
 
+def click_prob_given_mean(x: float, p_d: float) -> float:
+    """Click probability 1 - (1 - 2 p_d) e^{-x} of a round in which no photon
+    reaches the detectors with probability e^{-x}.
+
+    ``x`` is the mean detected photon number of a coherent round, or minus
+    the log of the all-photons-lost probability of a round with exact photon
+    numbers.  Arranged to stay accurate for tiny x.
+    """
+    return -math.expm1(-x) + 2.0 * p_d * math.exp(-x)
+
+
 def click_prob_given_intensity(z: IntensityBits, scenario: Scenario) -> float:
     """Probability that exactly one detector fires in a round with the given
     intensity selectors."""
     x = scenario.eta_a * scenario.mu_a * z.z_a + scenario.eta_b * scenario.mu_b * z.z_b
-    decay = math.exp(-x)
-    # 1 - (1 - 2 p_d) e^{-x}, arranged to stay accurate for tiny x.
-    return -math.expm1(-x) + 2.0 * scenario.params.p_d * decay
+    return click_prob_given_mean(x, scenario.params.p_d)
 
 
 def click_prob_given_photons(n_a: int, n_b: int, scenario: Scenario) -> float:
@@ -234,8 +244,7 @@ def click_prob_given_photons(n_a: int, n_b: int, scenario: Scenario) -> float:
     if n_a < 0 or n_b < 0 or n_a != int(n_a) or n_b != int(n_b):
         raise ValueError(f"photon counts must be integers >= 0, got ({n_a}, {n_b})")
     log_pass = n_a * math.log1p(-scenario.eta_a) + n_b * math.log1p(-scenario.eta_b)
-    survive_none = math.exp(log_pass)
-    return -math.expm1(log_pass) + 2.0 * scenario.params.p_d * survive_none
+    return click_prob_given_mean(-log_pass, scenario.params.p_d)
 
 
 def round_click_prob(scenario: Scenario) -> float:

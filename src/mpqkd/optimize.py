@@ -63,8 +63,8 @@ class OptimizationProblem:
             raise ValueError(f"arm length must be > 0 km, got {self.distance_a_km}")
         if self.delta < 1.0:
             raise ValueError(f"transmittance ratio must be >= 1, got {self.delta}")
-        if not (self.lam == math.inf or self.lam >= 1):
-            raise ValueError(f"pairing interval must be >= 1 or inf, got {self.lam}")
+        if not (self.lam == math.inf or (self.lam >= 1 and float(self.lam).is_integer())):
+            raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
 
     def distance_b_km(self) -> float:
         eta_a = transmittance_from_distance(self.distance_a_km, self.params)

@@ -1,8 +1,11 @@
 """Tests for decoy-state observables, bounds and the decoy key rate."""
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpqkd.decoy import (
     DecoyConfig,
@@ -19,11 +22,76 @@ from mpqkd.decoy import (
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
-from mpqkd.model import SystemParams, key_rate, make_scenario
+from mpqkd.model import SystemParams, click_prob_given_photons, key_rate, make_scenario
+
+# Dark-count rates spanning none, the default and strongly noisy detectors.
+DARK_COUNT_RATES = (0.0, 1.2e-8, 1e-4, 1e-2)
+# Photon cutoff of the reference fold.  The largest summed intensity is 2
+# (an X pair at mu = 1), whose Poisson mass beyond 20 photons is ~5e-15.
+ORACLE_CUTOFF = 20
+OBSERVABLES = ("z_total", "z_error", "x_total", "x_error")
 
 
-def reference_scenario():
-    return make_scenario(100.0, 150.0, 0.2402, 0.7594, 1e6, nu_a=0.05, nu_b=0.05)
+def reference_scenario(params=None):
+    return make_scenario(100.0, 150.0, 0.2402, 0.7594, 1e6, params, nu_a=0.05, nu_b=0.05)
+
+
+def fold_observables(scenario, config):
+    """Reference forward model: photon-class yields summed over the Poisson
+    photon statistics of each setting, up to ORACLE_CUTOFF photons for a
+    non-vacuum party and k = 0 for a vacuum one.
+
+    Returns the OBSERVABLES dicts in order, keyed like
+    :class:`DecoyObservables`.
+    """
+    e_0, e_d = scenario.params.e_0, scenario.params.e_d
+
+    @functools.cache
+    def click(n_a, n_b, dark):
+        if dark:
+            return click_prob_given_photons(n_a, n_b, scenario)
+        log_pass = n_a * math.log1p(-scenario.eta_a) + n_b * math.log1p(-scenario.eta_b)
+        return -math.expm1(log_pass)
+
+    def z_yields(k_a, k_b):
+        # A party's photons ride its single non-vacuum round; two of the four
+        # equally likely interleavings stack both signals in one round, and
+        # only those err.
+        y = lambda a, b: click(a, b, True)
+        stacked = y(0, 0) * y(k_a, k_b)
+        return 0.5 * (stacked + y(k_a, 0) * y(0, k_b)), 0.5 * stacked
+
+    @functools.cache
+    def x_yield(k_a, k_b, dark):
+        # Both of a party's rounds carry the same intensity, so its photons
+        # split binomially between them.
+        total = 0.0
+        for j_a in range(k_a + 1):
+            for j_b in range(k_b + 1):
+                weight = math.comb(k_a, j_a) * math.comb(k_b, j_b) * 0.5 ** (k_a + k_b)
+                total += weight * click(j_a, j_b, dark) * click(k_a - j_a, k_b - j_b, dark)
+        return total
+
+    def x_yields(k_a, k_b):
+        # Vacuum-noise error on every detection, reduced to the misalignment
+        # error on the photon-only coincidences.
+        total = x_yield(k_a, k_b, True)
+        return total, e_0 * total - (e_0 - e_d) * x_yield(k_a, k_b, False)
+
+    def fold(settings, yields):
+        totals, errors = {}, {}
+        for vec in settings:
+            total = error = 0.0
+            for k_a in range(ORACLE_CUTOFF + 1 if vec.sum_a > 0.0 else 1):
+                for k_b in range(ORACLE_CUTOFF + 1 if vec.sum_b > 0.0 else 1):
+                    weight = poisson_pair_prob((k_a, k_b), vec)
+                    y, e = yields(k_a, k_b)
+                    total += weight * y
+                    error += weight * e
+            totals[vec], errors[vec] = total, error
+        return totals, errors
+
+    return (*fold(config.z_settings(), z_yields), *fold(config.x_settings(), x_yields))
 
 
 class TestConfig:
@@ -157,48 +225,69 @@ class TestObservables:
             expected_observables(sc, cfg)
 
     def test_closed_form_cross_check(self):
-        # totals have closed forms via Poisson smearing of the yields
-        sc = reference_scenario()
-        cfg = decoy_config_for(sc)
-        obs = expected_observables(sc, cfg)
-        p_d = sc.params.p_d
-
-        def click(x, y):
-            return -math.expm1(-sc.eta_a * x - sc.eta_b * y) + 2.0 * p_d * math.exp(
-                -sc.eta_a * x - sc.eta_b * y
-            )
-
-        for vec, total in obs.z_total.items():
-            expected = 0.5 * (
-                click(0, 0) * click(vec.sum_a, vec.sum_b)
-                + click(vec.sum_a, 0) * click(0, vec.sum_b)
-            )
-            assert total == pytest.approx(expected, rel=1e-9)
-            assert obs.z_error[vec] == pytest.approx(
-                0.5 * click(0, 0) * click(vec.sum_a, vec.sum_b), rel=1e-9
-            )
-        for vec, total in obs.x_total.items():
-            expected = click(vec.sum_a / 2.0, vec.sum_b / 2.0) ** 2
-            assert total == pytest.approx(expected, rel=1e-9)
+        # the closed form equals the truncated photon-number fold, in all
+        # four observables and across dark-count regimes
+        for p_d in DARK_COUNT_RATES:
+            sc = reference_scenario(SystemParams(p_d=p_d))
+            cfg = decoy_config_for(sc)
+            obs = expected_observables(sc, cfg)
+            for name, reference in zip(OBSERVABLES, fold_observables(sc, cfg)):
+                observed = getattr(obs, name)
+                assert observed.keys() == reference.keys()
+                for vec, value in reference.items():
+                    expected = pytest.approx(value, rel=1e-12, abs=0.0)
+                    assert observed[vec] == expected, (p_d, name, vec)
 
     def test_forward_model_matches_analytic_intermediates(self):
-        # the signal-setting observables reproduce the analytic Z-pair ratio
-        # normalization: e_z equals the error/total ratio at (mu_a, mu_b)
-        sc = reference_scenario()
-        cfg = decoy_config_for(sc)
-        obs = expected_observables(sc, cfg)
-        breakdown = key_rate(sc)
-        signal = cfg.signal_vector()
-        assert obs.z_error[signal] / obs.z_total[signal] == pytest.approx(
-            breakdown.e_z, rel=1e-9
+        for p_d in DARK_COUNT_RATES[1:]:
+            sc = reference_scenario(SystemParams(p_d=p_d))
+            cfg = decoy_config_for(sc)
+            obs = expected_observables(sc, cfg)
+            breakdown = key_rate(sc)
+            signal = cfg.signal_vector()
+            # the signal-setting observables reproduce the analytic Z-pair
+            # normalization: e_z equals the error/total ratio at (mu_a, mu_b)
+            assert obs.z_error[signal] / obs.z_total[signal] == pytest.approx(
+                breakdown.e_z, rel=1e-12, abs=0.0
+            )
+            # and the Poisson-weighted single-photon share reproduces q_bar
+            q_bar = (
+                poisson_pair_prob((1, 1), signal)
+                * single_photon_z_yield(sc)
+                / obs.z_total[signal]
+            )
+            assert q_bar == pytest.approx(breakdown.q_bar_11, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        distance_a=st.floats(40.0, 120.0),
+        gap=st.floats(0.0, 60.0),
+        mu_a=st.floats(0.2, 0.9),
+        mu_b=st.floats(0.2, 0.9),
+        nu_frac_a=st.floats(0.1, 0.35),
+        nu_frac_b=st.floats(0.1, 0.35),
+        p_d=st.sampled_from(DARK_COUNT_RATES),
+    )
+    def test_arm_swap_symmetry(self, distance_a, gap, mu_a, mu_b, nu_frac_a, nu_frac_b, p_d):
+        # swapping the arms together with their intensities mirrors every
+        # observable onto the swapped pair-intensity vector
+        params = SystemParams(p_d=p_d)
+        nu_a, nu_b = mu_a * nu_frac_a, mu_b * nu_frac_b
+        sc = make_scenario(
+            distance_a, distance_a + gap, mu_a, mu_b, 1e6, params, nu_a=nu_a, nu_b=nu_b
         )
-        # and the Poisson-weighted single-photon share reproduces q_bar
-        q_bar = (
-            poisson_pair_prob((1, 1), signal)
-            * single_photon_z_yield(sc)
-            / obs.z_total[signal]
+        swapped = make_scenario(
+            distance_a + gap, distance_a, mu_b, mu_a, 1e6, params, nu_a=nu_b, nu_b=nu_a
         )
-        assert q_bar == pytest.approx(breakdown.q_bar_11, rel=1e-9)
+        obs = expected_observables(sc, decoy_config_for(sc))
+        mirrored = expected_observables(swapped, decoy_config_for(swapped))
+        for name in OBSERVABLES:
+            direct, other = getattr(obs, name), getattr(mirrored, name)
+            assert other.keys() == {PairIntensityVector(v.sum_b, v.sum_a) for v in direct}
+            for vec, value in direct.items():
+                assert other[PairIntensityVector(vec.sum_b, vec.sum_a)] == pytest.approx(
+                    value, rel=1e-14, abs=0.0
+                )
 
     def test_observable_constructor_rejects_error_above_total(self):
         vec = PairIntensityVector(0.5, 0.5)
@@ -218,10 +307,13 @@ class TestBounds:
     def test_per_setting_projection(self):
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
-        bounds = bound_single_photon(expected_observables(sc, cfg), cfg)
+        obs = expected_observables(sc, cfg)
+        bounds = bound_single_photon(obs, cfg)
         signal = cfg.signal_vector()
-        assert bounds.m_z_11_lower_by_setting[signal] == pytest.approx(
-            poisson_pair_prob((1, 1), signal) * bounds.m_z_11_lower, rel=1e-12
+        assert bounds.q_bar_lower == pytest.approx(
+            poisson_pair_prob((1, 1), signal) * bounds.m_z_11_lower / obs.z_total[signal],
+            rel=1e-12,
+            abs=0.0,
         )
 
     def test_two_intensity_config_gives_trivial_bound(self):

@@ -23,6 +23,8 @@ class TestProblemValidation:
             OptimizationProblem(100.0, 0.5, 1e6)
         with pytest.raises(ValueError):
             OptimizationProblem(100.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            OptimizationProblem(100.0, 1.0, 2.5)
 
     def test_arm_b_length_follows_ratio(self):
         problem = OptimizationProblem(100.0, 10.0, 1e6)
