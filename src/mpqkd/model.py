@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ModelDegenerateError",
     "SystemParams",
@@ -40,6 +42,7 @@ __all__ = [
     "x_gain_and_phase_error",
     "binary_entropy",
     "key_rate",
+    "key_rate_grid",
     "linearized_key_rate",
 ]
 
@@ -243,8 +246,16 @@ def click_prob_given_photons(n_a: int, n_b: int, scenario: Scenario) -> float:
     """Click probability for a round carrying exact photon numbers per arm."""
     if n_a < 0 or n_b < 0 or n_a != int(n_a) or n_b != int(n_b):
         raise ValueError(f"photon counts must be integers >= 0, got ({n_a}, {n_b})")
-    log_pass = n_a * math.log1p(-scenario.eta_a) + n_b * math.log1p(-scenario.eta_b)
+    log_pass = _log_pass(n_a, scenario.eta_a) + _log_pass(n_b, scenario.eta_b)
     return click_prob_given_mean(-log_pass, scenario.params.p_d)
+
+
+def _log_pass(n: int, eta: float) -> float:
+    """Log-probability that all n photons of an arm are lost; a lossless arm
+    (eta == 1) loses none, and an empty one always passes."""
+    if eta < 1.0:
+        return n * math.log1p(-eta)
+    return -math.inf if n else 0.0
 
 
 def round_click_prob(scenario: Scenario) -> float:
@@ -389,6 +400,54 @@ def key_rate(scenario: Scenario) -> KeyRateBreakdown:
         raw_rate=raw,
         rate=max(raw, 0.0),
     )
+
+
+def key_rate_grid(scenario: Scenario, mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
+    """Clamped key rate of :func:`key_rate` broadcast over intensity arrays.
+
+    The arms, interval and parameters come from ``scenario``; its own
+    intensities are ignored.  The intensity-dependent terms repeat the
+    scalar formulas as numpy expressions in the same order of operations,
+    and the intensity-independent ones (the single-photon yields, the X-basis
+    gain and phase error) come from the scalar functions once per call.
+    numpy's exp/expm1/log differ from ``math`` in the last bit on some
+    inputs, so a value can differ from ``key_rate(...).rate`` by a few ulps.
+    """
+    params = scenario.params
+    mu_a, mu_b = np.asarray(mu_a, dtype=float), np.asarray(mu_b, dtype=float)
+
+    def click(x: np.ndarray) -> np.ndarray:
+        return -np.expm1(-x) + 2.0 * params.p_d * np.exp(-x)
+
+    def entropy(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+        return np.where((x == 0.0) | (x == 1.0), 0.0, h)
+
+    x_a, x_b = scenario.eta_a * mu_a, scenario.eta_b * mu_b
+    pr00 = click_prob_given_mean(0.0, params.p_d)
+    pr01, pr10, pr11 = click(x_b), click(x_a), click(x_a + x_b)
+    p = (((pr00 + pr01) + pr10) + pr11) / 4.0
+    same, cross = pr00 * pr11, pr01 * pr10
+    pairs = same + cross
+    if not np.all(pairs > 0.0):
+        raise ModelDegenerateError("zero Z-pair probability: key rate undefined")
+    if np.any(p > 1.0):
+        raise ValueError(f"click probability must be in [0, 1], got {np.max(p)}")
+    if math.isinf(scenario.lam):
+        r_p = p / 2.0
+    else:
+        window_hit = -np.expm1(scenario.lam * np.log1p(-p))
+        r_p = 1.0 / (1.0 / (p * window_hit) + 1.0 / p)
+    r_s = 2.0 * pairs / (16.0 * p * p)
+    e_z = same / pairs
+    y_same = click_prob_given_photons(0, 0, scenario) * click_prob_given_photons(1, 1, scenario)
+    y_cross = click_prob_given_photons(1, 0, scenario) * click_prob_given_photons(0, 1, scenario)
+    weight = mu_a * np.exp(-mu_a) * mu_b * np.exp(-mu_b)
+    q_bar = weight * (y_same + y_cross) / pairs
+    _, e_11 = x_gain_and_phase_error(scenario)
+    raw = r_p * r_s * (q_bar * (1.0 - binary_entropy(e_11)) - params.f * entropy(e_z))
+    return np.maximum(raw, 0.0)
 
 
 def linearized_key_rate(scenario: Scenario) -> KeyRateBreakdown:

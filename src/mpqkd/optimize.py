@@ -2,10 +2,12 @@
 
 The key-rate surface over (mu_a, mu_b) has a single peak, so a coarse grid
 scan followed by derivative-free simplex refinement locates the global
-maximizer reliably.  A short Newton polish on central finite differences
-sharpens the final point to well below the 1e-4 intensity tolerance, which
-also lets the optimizer reproduce the closed-form stationary points of the
-linearized model to ~1e-9.
+maximizer reliably.  The grid is one array evaluation
+(:func:`mpqkd.model.key_rate_grid`); the grid's best rate and the
+refinement use the scalar :func:`mpqkd.model.key_rate`.  A short Newton
+polish on central finite differences sharpens the final point to well below
+the 1e-4 intensity tolerance, which also lets the optimizer reproduce the
+closed-form stationary points of the linearized model to ~1e-9.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .model import (
     SystemParams,
     distance_from_transmittance,
     key_rate,
+    key_rate_grid,
     linearized_key_rate,
     transmittance_from_distance,
 )
@@ -101,21 +104,28 @@ class OptimumReport:
     grid_resolution: int
 
 
-def _grid_scan(rate: Callable[[float, float], float], resolution: int) -> tuple[float, float, float]:
-    """Best point of a uniform grid over (0, 1]^2.
+def _grid_scan(problem: OptimizationProblem, resolution: int) -> tuple[float, float, float]:
+    """Best point of a uniform grid over (0, 1]^2, with its scalar rate.
 
-    Ties within the grid tolerance keep the earlier point, i.e. the one with
-    the smaller mu_a (then smaller mu_b), for deterministic output.
+    The full model evaluates the grid as one array; the linearized oracle
+    keeps its per-point scalar evaluation.  A later point wins only if it
+    beats the running best by more than the tie tolerance, so ties keep the
+    smaller mu_a (then smaller mu_b) for deterministic output.  The returned
+    rate is the scalar one at the chosen point, the value the refinement
+    compares against.
     """
-    best = (-math.inf, 0.0, 0.0)
-    for i in range(1, resolution + 1):
-        mu_a = i / resolution
-        for j in range(1, resolution + 1):
-            mu_b = j / resolution
-            r = rate(mu_a, mu_b)
-            if r > best[0] + _GRID_TIE_TOL:
-                best = (r, mu_a, mu_b)
-    return best
+    mu = [i / resolution for i in range(1, resolution + 1)]
+    if problem.linearized:
+        rates = [problem.rate(mu_a, mu_b) for mu_a in mu for mu_b in mu]
+    else:
+        axis = np.array(mu)
+        rates = key_rate_grid(problem.scenario(1.0, 1.0), axis[:, None], axis).ravel().tolist()
+    best, k_best = -math.inf, 0
+    for k, r in enumerate(rates):
+        if r > best + _GRID_TIE_TOL:
+            best, k_best = r, k
+    mu_a, mu_b = mu[k_best // resolution], mu[k_best % resolution]
+    return problem.rate(mu_a, mu_b), mu_a, mu_b
 
 
 def _fd_gradient(rate: Callable[[float, float], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -198,7 +208,7 @@ def optimize_intensities(problem: OptimizationProblem, grid_resolution: int = 64
     comes back non-converged with r_star == 0.
     """
     rate = problem.rate
-    r_grid, mu_a0, mu_b0 = _grid_scan(rate, grid_resolution)
+    r_grid, mu_a0, mu_b0 = _grid_scan(problem, grid_resolution)
     if r_grid <= 0.0:
         return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, grid_resolution)
 

@@ -3,9 +3,9 @@ Monte Carlo / decoy verification harness.
 
 A sweep is described by a :class:`SweepSpec` (usually loaded from a strict
 JSON document), expands deterministically into grid tasks, evaluates them
-(optionally across worker processes) and emits fixed-header CSV rows with
-10-significant-digit decimal formatting, so identical specs produce
-byte-identical files.
+(optionally on one pool of worker processes per sweep) and emits
+fixed-header CSV rows with 10-significant-digit decimal formatting, so
+identical specs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .decoy import (
     bound_single_photon,
@@ -274,7 +274,11 @@ def _evaluate_point(task: tuple) -> ResultRow:
     )
 
 
-def _table_rows(spec: SweepSpec) -> list[ResultRow]:
+# The builtin ``map`` or a process pool's ``map``.
+Mapper = Callable[..., Iterable[ResultRow]]
+
+
+def _table_rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
     params = SystemParams()
     if spec.mode == "table2":
         cells = [(0.0, 1e6), (50.0, 1e6), (100.0, 1e6)]
@@ -288,7 +292,7 @@ def _table_rows(spec: SweepSpec) -> list[ResultRow]:
         (200.0 + delta_km, delta_km, lam, params.e_d, "OI", None)
         for delta_km, lam in cells
     ]
-    return _evaluate_all(tasks, spec.workers)
+    return list(mapper(_evaluate_point, tasks))
 
 
 def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
@@ -303,14 +307,14 @@ def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
     return totals
 
 
-def _figure_rows(spec: SweepSpec) -> list[ResultRow]:
+def _figure_rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
     params_e_d = SystemParams().e_d
     if spec.mode == "fig3":
         tasks = []
         for lam in (1e6, 1.0):
             for delta_km in range(0, 151, 10):
                 tasks.append((200.0 + delta_km, float(delta_km), lam, params_e_d, "OI", None))
-        return _evaluate_all(tasks, spec.workers)
+        return list(mapper(_evaluate_point, tasks))
     if spec.mode in ("fig4", "fig5"):
         lam = 1e6 if spec.mode == "fig4" else 1.0
         curves = [(delta_km, lam, params_e_d) for delta_km in (0.0, 50.0, 100.0, 150.0)]
@@ -328,8 +332,8 @@ def _figure_rows(spec: SweepSpec) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for delta_km, lam, e_d in curves:
         for total in _grid_totals(spec, delta_km):
-            point_rows = _evaluate_all(
-                [(total, delta_km, lam, e_d, m, None) for m in methods], spec.workers
+            point_rows = list(
+                mapper(_evaluate_point, [(total, delta_km, lam, e_d, m, None) for m in methods])
             )
             rows.extend(point_rows)
             oi_rate = next(r.rate for r in point_rows if r.method == "OI")
@@ -338,7 +342,7 @@ def _figure_rows(spec: SweepSpec) -> list[ResultRow]:
     return rows
 
 
-def _custom_rows(spec: SweepSpec) -> list[ResultRow]:
+def _custom_rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
     tasks = []
     mu_fixed = (spec.mu_a, spec.mu_b)
     for delta_km in spec.delta_list:
@@ -347,24 +351,27 @@ def _custom_rows(spec: SweepSpec) -> list[ResultRow]:
                 for total in _grid_totals(spec, delta_km):
                     for method in spec.methods:
                         tasks.append((total, delta_km, lam, e_d, method, mu_fixed))
-    return _evaluate_all(tasks, spec.workers)
+    return list(mapper(_evaluate_point, tasks))
 
 
-def _evaluate_all(tasks: Sequence[tuple], workers: int) -> list[ResultRow]:
-    if workers <= 1 or len(tasks) < 2:
-        return [_evaluate_point(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, tasks))
+def _rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
+    if spec.mode.startswith("table"):
+        return _table_rows(spec, mapper)
+    if spec.mode.startswith("fig"):
+        return _figure_rows(spec, mapper)
+    return _custom_rows(spec, mapper)
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Expand and evaluate a sweep; writes the CSV when an output path is set."""
-    if spec.mode.startswith("table"):
-        rows = _table_rows(spec)
-    elif spec.mode.startswith("fig"):
-        rows = _figure_rows(spec)
+    """Expand and evaluate a sweep; writes the CSV when an output path is set.
+
+    With more than one worker the whole sweep runs on one process pool.
+    """
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            rows = _rows(spec, pool.map)
     else:
-        rows = _custom_rows(spec)
+        rows = _rows(spec, map)
     if spec.out:
         write_rows(rows, spec.out)
     return rows

@@ -2,8 +2,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpqkd.decoy import single_photon_z_yield
 from mpqkd.model import (
     IntensityBits,
     Link,
@@ -15,6 +19,7 @@ from mpqkd.model import (
     click_prob_given_photons,
     distance_from_transmittance,
     key_rate,
+    key_rate_grid,
     linearized_key_rate,
     link_at,
     make_scenario,
@@ -29,6 +34,8 @@ from mpqkd.model import (
 
 PARAMS = SystemParams()
 NO_DARK = SystemParams(p_d=0.0)
+INTERVALS = (1.0, 2.0, 100.0, 1e6, math.inf)
+DARK_COUNT_RATES = (0.0, 1.2e-8, 1e-4, 1e-2)
 
 
 def scenario_at(
@@ -167,6 +174,16 @@ class TestClickProbabilities:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             click_prob_given_photons(-1, 0, scenario_at())
+
+    def test_lossless_arm(self):
+        # eta_d = 1 at 0 km is a valid arm that never loses a photon
+        params = SystemParams(eta_d=1.0)
+        sc = make_scenario(0.0, 10.0, 0.5, 0.5, 1e6, params)
+        assert click_prob_given_photons(1, 0, sc) == 1.0
+        assert click_prob_given_photons(0, 1, sc) < 1.0
+        assert click_prob_given_photons(0, 0, sc) == 2.0 * params.p_d
+        assert math.isfinite(key_rate(sc).rate)
+        assert math.isfinite(single_photon_z_yield(sc))
 
     def test_probability_range_random_points(self):
         rng = random.Random(7)
@@ -332,9 +349,9 @@ class TestKeyRate:
     def test_arm_swap_symmetry(self):
         a = key_rate(scenario_at(80.0, 140.0, 0.24, 0.76))
         b = key_rate(scenario_at(140.0, 80.0, 0.76, 0.24))
-        assert a.rate == pytest.approx(b.rate, rel=1e-12)
-        assert a.r_s == pytest.approx(b.r_s, rel=1e-12)
-        assert a.e_z == pytest.approx(b.e_z, rel=1e-12)
+        assert a.rate == pytest.approx(b.rate, rel=1e-12, abs=0.0)
+        assert a.r_s == pytest.approx(b.r_s, rel=1e-12, abs=0.0)
+        assert a.e_z == pytest.approx(b.e_z, rel=1e-12, abs=0.0)
 
     def test_monotone_in_distance(self):
         rates = [
@@ -370,3 +387,71 @@ class TestKeyRate:
         # the four selector vectors are equally likely
         total = 4 * (1.0 / 4.0)
         assert total == 1.0
+
+
+def _rate_scale(breakdown) -> float:
+    """Size of the key rate before the privacy and correction terms cancel."""
+    return breakdown.r_p * breakdown.r_s * breakdown.q_bar_11
+
+
+grid_cases = dict(
+    distance_a=st.floats(0.0, 300.0),
+    distance_b=st.floats(0.0, 300.0),
+    mu_a=st.lists(st.floats(1e-6, 1.0, exclude_min=True), min_size=1, max_size=4),
+    mu_b=st.lists(st.floats(1e-6, 1.0, exclude_min=True), min_size=1, max_size=4),
+    lam=st.sampled_from(INTERVALS),
+    p_d=st.sampled_from(DARK_COUNT_RATES),
+)
+
+
+class TestKeyRateGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(**grid_cases)
+    def test_matches_scalar(self, distance_a, distance_b, mu_a, mu_b, lam, p_d):
+        params = SystemParams(p_d=p_d)
+        scenario = make_scenario(distance_a, distance_b, 1.0, 1.0, lam, params)
+        rates = key_rate_grid(scenario, np.array(mu_a)[:, None], np.array(mu_b))
+        assert rates.shape == (len(mu_a), len(mu_b))
+        for i, m_a in enumerate(mu_a):
+            for j, m_b in enumerate(mu_b):
+                scalar = key_rate(make_scenario(distance_a, distance_b, m_a, m_b, lam, params))
+                assert rates[i, j] == pytest.approx(
+                    scalar.rate, rel=1e-13, abs=1e-13 * _rate_scale(scalar)
+                )
+                assert (rates[i, j] == 0.0) == (scalar.rate == 0.0)
+
+    @pytest.mark.parametrize(
+        "scenario, error",
+        [
+            (scenario_with_etas(1e-300, 1e-300, 0.5, 0.5, math.inf), ModelDegenerateError),
+            (scenario_at(params=SystemParams(p_d=0.6)), ValueError),
+        ],
+        ids=["blackout", "click-above-one"],
+    )
+    def test_rejects_degenerate_scenarios(self, scenario, error):
+        with pytest.raises(error):
+            key_rate_grid(scenario, np.array([0.5]), np.array([0.5]))
+        # the scalar path rejects them too; at the blackout its p * p underflows
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            key_rate(scenario)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**grid_cases)
+    def test_arm_swap_symmetry(self, distance_a, distance_b, mu_a, mu_b, lam, p_d):
+        params = SystemParams(p_d=p_d)
+        forward = key_rate_grid(
+            make_scenario(distance_a, distance_b, 1.0, 1.0, lam, params),
+            np.array(mu_a)[:, None],
+            np.array(mu_b),
+        )
+        swapped = key_rate_grid(
+            make_scenario(distance_b, distance_a, 1.0, 1.0, lam, params),
+            np.array(mu_b)[:, None],
+            np.array(mu_a),
+        )
+        for i, m_a in enumerate(mu_a):
+            for j, m_b in enumerate(mu_b):
+                scale = _rate_scale(
+                    key_rate(make_scenario(distance_a, distance_b, m_a, m_b, lam, params))
+                )
+                assert swapped[j, i] == pytest.approx(forward[i, j], rel=1e-13, abs=1e-13 * scale)

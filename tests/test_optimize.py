@@ -2,10 +2,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpqkd.model import SystemParams
 from mpqkd.optimize import (
+    _GRID_TIE_TOL,
     OptimizationProblem,
+    _grid_scan,
     adding_fiber_rate,
     closed_form_asymptotic,
     optimize_intensities,
@@ -13,6 +17,19 @@ from mpqkd.optimize import (
 )
 
 PARAMS = SystemParams()
+
+
+def per_point_grid_scan(rate, resolution):
+    """Reference: the grid scan as one scalar rate call per point."""
+    best = (-math.inf, 0.0, 0.0)
+    for i in range(1, resolution + 1):
+        mu_a = i / resolution
+        for j in range(1, resolution + 1):
+            mu_b = j / resolution
+            r = rate(mu_a, mu_b)
+            if r > best[0] + _GRID_TIE_TOL:
+                best = (r, mu_a, mu_b)
+    return best
 
 
 class TestProblemValidation:
@@ -83,6 +100,34 @@ class TestOptimizerAgainstTables:
         assert (a.mu_a_star, a.mu_b_star, a.r_star) == (b.mu_a_star, b.mu_b_star, b.r_star)
 
 
+class TestGridScan:
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            OptimizationProblem(100.0, 10.0, 1e6),  # interior optimum
+            OptimizationProblem(100.0, 1.0, 1),  # lambda = 1: the (1, 1) corner
+            OptimizationProblem(100.0, 100.0, math.inf, SystemParams(p_d=1e-4)),
+            OptimizationProblem(244.306, 1.0, 1e6),  # best grid rate ~1.2e-12
+            OptimizationProblem(250.0, 1.0, 1e6),  # beyond the cutoff: all zero
+            OptimizationProblem(100.0, 10.0, math.inf, linearized=True),
+        ],
+        ids=["interior", "corner", "dark", "near-cutoff", "all-zero", "linearized"],
+    )
+    def test_matches_per_point_scan(self, problem):
+        assert _grid_scan(problem, 64) == per_point_grid_scan(problem.rate, 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distance_a=st.floats(1.0, 300.0),
+        delta=st.floats(1.0, 1e3),
+        lam=st.sampled_from((1.0, 2.0, 100.0, 1e6, math.inf)),
+        p_d=st.sampled_from((0.0, 1.2e-8, 1e-4, 1e-2)),
+    )
+    def test_matches_per_point_scan_randomized(self, distance_a, delta, lam, p_d):
+        problem = OptimizationProblem(distance_a, delta, lam, SystemParams(p_d=p_d))
+        assert _grid_scan(problem, 16) == per_point_grid_scan(problem.rate, 16)
+
+
 class TestClosedForm:
     def test_symmetric(self):
         assert closed_form_asymptotic(1.0, "lambda_infinite") == (0.5, 0.5)
@@ -132,7 +177,9 @@ class TestPlobBound:
     def test_small_transmittance_expansion(self):
         # -log2(1 - eta) -> eta / ln 2
         eta = 10.0 ** (-PARAMS.alpha * 400.0 / 10.0)
-        assert plob_bound(400.0, PARAMS) == pytest.approx(eta / math.log(2.0), rel=1e-6)
+        assert plob_bound(400.0, PARAMS) == pytest.approx(
+            eta / math.log(2.0), rel=1e-6, abs=0.0
+        )
 
     def test_300km(self):
         assert plob_bound(300.0, PARAMS) == pytest.approx(1.4427e-6, rel=1e-4)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import mpqkd.sweep
 from mpqkd.cli import main
 from mpqkd.sweep import (
     CSV_COLUMNS,
@@ -133,6 +134,23 @@ class TestRunSweep:
         sequential = run_sweep(load_spec(CUSTOM_BASE))
         parallel = run_sweep(load_spec({**CUSTOM_BASE, "workers": 2}))
         assert sequential == parallel
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        starts = []
+
+        class CountingPool(mpqkd.sweep.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", CountingPool)
+        spec = {"mode": "fig4", "distance_start": 200, "distance_stop": 400, "distance_step": 100}
+        sequential = run_sweep(load_spec(spec))
+        assert starts == []
+        parallel = run_sweep(load_spec({**spec, "workers": 2}))
+        assert starts == [2]
+        assert len(parallel) == 36  # 4 curves x 3 totals x (OI, AF, PLOB)
+        assert parallel == sequential
 
     def test_fig3_intensity_curves(self):
         rows = run_sweep(load_spec({"mode": "fig3"}))
