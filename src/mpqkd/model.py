@@ -6,6 +6,15 @@ weak-coherent-pulse statistics; the Taylor-linearized small-intensity model
 :func:`linearized_key_rate` and is used as a cross-check oracle, never as the
 production path.
 
+The intensity-dependent key-rate chain (the four selector click
+probabilities, p, r_p, r_s, e_z, q_bar_11, H(e_z) and the clamp) has one
+implementation, shared by :func:`key_rate` on floats and
+:func:`key_rate_grid` on arrays.  The math namespace follows the input:
+arrays broadcast through numpy, while Python floats go through ``math``
+(libm), because numpy's exp/expm1/log can differ from libm in the last bit
+and the scalar rates are what the optimizer, the CSV output and the Monte
+Carlo reference values are built from.
+
 Conventions:
     * An arm transmittance ``eta`` includes the detector efficiency, so a
       zero-length fiber has ``eta == eta_d``.
@@ -24,7 +33,6 @@ __all__ = [
     "ModelDegenerateError",
     "SystemParams",
     "Link",
-    "IntensityBits",
     "Scenario",
     "KeyRateBreakdown",
     "transmittance_from_distance",
@@ -32,13 +40,8 @@ __all__ = [
     "link_at",
     "make_scenario",
     "click_prob_given_mean",
-    "click_prob_given_intensity",
     "click_prob_given_photons",
-    "round_click_prob",
     "pairing_rate",
-    "z_pair_ratio",
-    "z_bit_error",
-    "single_photon_ratio",
     "x_gain_and_phase_error",
     "binary_entropy",
     "key_rate",
@@ -99,18 +102,6 @@ class Link:
             raise ValueError(f"distance must be >= 0 km, got {self.distance_km}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"transmittance must be in (0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
-class IntensityBits:
-    """Per-round intensity selectors: 1 sends the signal pulse, 0 sends vacuum."""
-
-    z_a: int
-    z_b: int
-
-    def __post_init__(self) -> None:
-        if self.z_a not in (0, 1) or self.z_b not in (0, 1):
-            raise ValueError(f"intensity bits must be 0 or 1, got ({self.z_a}, {self.z_b})")
 
 
 def transmittance_from_distance(distance_km: float, params: SystemParams) -> float:
@@ -224,22 +215,34 @@ class KeyRateBreakdown:
     rate: float
 
 
-def click_prob_given_mean(x: float, p_d: float) -> float:
+def _namespace(x):
+    """numpy for arrays, ``math`` (libm) for anything else, so a Python float
+    keeps the exact bits of the scalar formulas."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _where(condition, value, otherwise):
+    """``np.where`` for array conditions, a plain conditional for scalars."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, value, otherwise)
+    return value if condition else otherwise
+
+
+def _any(condition) -> bool:
+    """Whether any element of an array condition, or a scalar one, holds."""
+    return bool(condition.any()) if isinstance(condition, np.ndarray) else condition
+
+
+def click_prob_given_mean(x, p_d: float):
     """Click probability 1 - (1 - 2 p_d) e^{-x} of a round in which no photon
     reaches the detectors with probability e^{-x}.
 
     ``x`` is the mean detected photon number of a coherent round, or minus
     the log of the all-photons-lost probability of a round with exact photon
-    numbers.  Arranged to stay accurate for tiny x.
+    numbers; a float or an array.  Arranged to stay accurate for tiny x.
     """
-    return -math.expm1(-x) + 2.0 * p_d * math.exp(-x)
-
-
-def click_prob_given_intensity(z: IntensityBits, scenario: Scenario) -> float:
-    """Probability that exactly one detector fires in a round with the given
-    intensity selectors."""
-    x = scenario.eta_a * scenario.mu_a * z.z_a + scenario.eta_b * scenario.mu_b * z.z_b
-    return click_prob_given_mean(x, scenario.params.p_d)
+    xp = _namespace(x)
+    return -xp.expm1(-x) + 2.0 * p_d * xp.exp(-x)
 
 
 def click_prob_given_photons(n_a: int, n_b: int, scenario: Scenario) -> float:
@@ -258,22 +261,12 @@ def _log_pass(n: int, eta: float) -> float:
     return -math.inf if n else 0.0
 
 
-def round_click_prob(scenario: Scenario) -> float:
-    """Unconditional per-round click probability, averaging the four equally
-    likely intensity-selector vectors."""
-    total = 0.0
-    for z_a in (0, 1):
-        for z_b in (0, 1):
-            total += click_prob_given_intensity(IntensityBits(z_a, z_b), scenario)
-    return total / 4.0
-
-
-def pairing_rate(p: float, lam: float) -> float:
-    """Expected pairs formed per round for click probability ``p`` and
-    maximal pairing interval ``lam``.
+def pairing_rate(p, lam: float):
+    """Expected pairs formed per round for click probability ``p`` (a float
+    or an array) and maximal pairing interval ``lam``.
 
     The unbounded interval gives exactly p/2; lam == 1 reduces to
-    p**2 / (1 + p).  The p == 0 limit is defined as 0.
+    p**2 / (1 + p).  At p == 0 and p == 1 every interval gives p/2.
 
     With w = 1 - (1 - p)**lam the rate is p w / (1 + w), and p <= w <= lam p
     for lam >= 1, so r_p(p, lam) <= lam * r_p(p, 1), with equality for
@@ -281,72 +274,19 @@ def pairing_rate(p: float, lam: float) -> float:
     fixed intensities the key rate grows by less than a factor lam from
     lam == 1 to lam.
     """
-    if p < 0.0 or p > 1.0:
+    if _any((p < 0.0) | (p > 1.0)):
         raise ValueError(f"click probability must be in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
     if math.isinf(lam):
         return p / 2.0
     if lam < 1:
         raise ValueError(f"pairing interval must be >= 1 or inf, got {lam}")
-    window_hit = -math.expm1(lam * math.log1p(-p)) if p < 1.0 else 1.0
-    return 1.0 / (1.0 / (p * window_hit) + 1.0 / p)
-
-
-def _z_combination_products(scenario: Scenario) -> tuple[float, float]:
-    """Click-probability products of the effective-Z intensity combinations.
-
-    Returns (same-round product, cross-round product): the [00,11]/[11,00]
-    combinations share one product and the [01,10]/[10,01] ones the other.
-    """
-    pr = {
-        (z_a, z_b): click_prob_given_intensity(IntensityBits(z_a, z_b), scenario)
-        for z_a in (0, 1)
-        for z_b in (0, 1)
-    }
-    return pr[(0, 0)] * pr[(1, 1)], pr[(0, 1)] * pr[(1, 0)]
-
-
-def z_pair_ratio(scenario: Scenario) -> float:
-    """Probability that two independently clicked rounds form an effective
-    Z pair (each party sent its signal pulse in exactly one of the rounds)."""
-    p = round_click_prob(scenario)
-    if p <= 0.0:
-        raise ModelDegenerateError("zero click probability: Z-pair ratio undefined")
-    same, cross = _z_combination_products(scenario)
-    return 2.0 * (same + cross) / (16.0 * p * p)
-
-
-def z_bit_error(scenario: Scenario) -> float:
-    """Expected bit error rate of the Z pairs.
-
-    Errors arise only from the two combinations that put both signal pulses
-    in the same round, so the rate is dark-count driven and vanishes exactly
-    for p_d == 0.
-    """
-    same, cross = _z_combination_products(scenario)
-    denominator = same + cross
-    if denominator <= 0.0:
-        raise ModelDegenerateError("zero Z-pair probability: bit error undefined")
-    return same / denominator
-
-
-def single_photon_ratio(scenario: Scenario) -> float:
-    """Fraction of effective Z pairs in which each party emitted exactly one
-    photon in total across the paired rounds."""
-    same, cross = _z_combination_products(scenario)
-    denominator = same + cross
-    if denominator <= 0.0:
-        raise ModelDegenerateError("zero Z-pair probability: single-photon ratio undefined")
-    weight = (
-        scenario.mu_a
-        * math.exp(-scenario.mu_a)
-        * scenario.mu_b
-        * math.exp(-scenario.mu_b)
-    )
-    y_same = click_prob_given_photons(0, 0, scenario) * click_prob_given_photons(1, 1, scenario)
-    y_cross = click_prob_given_photons(1, 0, scenario) * click_prob_given_photons(0, 1, scenario)
-    return weight * (y_same + y_cross) / denominator
+    xp = _namespace(p)
+    # The endpoints are evaluated at an interior point and replaced by p/2,
+    # where the logarithm and the reciprocals below are undefined.
+    edge = (p == 0.0) | (p == 1.0)
+    inner = _where(edge, 0.5, p)
+    window_hit = -xp.expm1(lam * xp.log1p(-inner))
+    return _where(edge, p / 2.0, 1.0 / (1.0 / (inner * window_hit) + 1.0 / inner))
 
 
 def x_gain_and_phase_error(scenario: Scenario) -> tuple[float, float]:
@@ -365,30 +305,49 @@ def x_gain_and_phase_error(scenario: Scenario) -> tuple[float, float]:
     return gain, error
 
 
-def binary_entropy(x: float) -> float:
-    """Binary entropy in bits, with H(0) = H(1) = 0 by continuity."""
-    if x < 0.0 or x > 1.0:
+def binary_entropy(x):
+    """Binary entropy in bits of a float or an array, with H(0) = H(1) = 0
+    by continuity."""
+    if _any((x < 0.0) | (x > 1.0)):
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    xp = _namespace(x)
+    edge = (x == 0.0) | (x == 1.0)
+    inner = _where(edge, 0.5, x)
+    return _where(edge, 0.0, -inner * xp.log2(inner) - (1.0 - inner) * xp.log2(1.0 - inner))
 
 
-def key_rate(scenario: Scenario) -> KeyRateBreakdown:
-    """Per-round secret-key rate with all intermediate quantities.
+def _key_rate_terms(scenario: Scenario, mu_a, mu_b) -> KeyRateBreakdown:
+    """The key-rate chain at intensities (mu_a, mu_b), floats or broadcast
+    arrays; the arms, interval and parameters come from ``scenario``.
 
-    Assembles R = r_p * r_s * { q_bar_11 [1 - H(e_11)] - f H(e_z) } and
-    clamps negative balances to zero (the raw value is retained).
+    Each of the four equally likely intensity-selector vectors (00, 01, 10,
+    11) has its click probability; p is their mean.  A Z pair needs each
+    party's signal pulse in exactly one of two clicked rounds: [00,11] and
+    [11,00] give the ``same``-round product, [01,10] and [10,01] the
+    ``cross``-round one.  Errors come only from the same-round combinations,
+    so e_z is dark-count driven.  q_bar_11 is the fraction of Z pairs in
+    which each party emitted exactly one photon across the two rounds.
     """
-    p = round_click_prob(scenario)
+    params = scenario.params
+    x_a, x_b = scenario.eta_a * mu_a, scenario.eta_b * mu_b
+    pr00 = click_prob_given_mean(0.0, params.p_d)
+    pr01, pr10 = click_prob_given_mean(x_b, params.p_d), click_prob_given_mean(x_a, params.p_d)
+    pr11 = click_prob_given_mean(x_a + x_b, params.p_d)
+    p = (((pr00 + pr01) + pr10) + pr11) / 4.0
+    same, cross = pr00 * pr11, pr01 * pr10
+    pairs = same + cross
+    if _any(pairs <= 0.0):
+        raise ModelDegenerateError("zero Z-pair probability: key rate undefined")
     r_p = pairing_rate(p, scenario.lam)
-    r_s = z_pair_ratio(scenario)
-    e_z = z_bit_error(scenario)
-    q_bar = single_photon_ratio(scenario)
+    r_s = 2.0 * pairs / (16.0 * p * p)
+    e_z = same / pairs
+    y_same = click_prob_given_photons(0, 0, scenario) * click_prob_given_photons(1, 1, scenario)
+    y_cross = click_prob_given_photons(1, 0, scenario) * click_prob_given_photons(0, 1, scenario)
+    xp = _namespace(mu_a)
+    weight = mu_a * xp.exp(-mu_a) * mu_b * xp.exp(-mu_b)
+    q_bar = weight * (y_same + y_cross) / pairs
     y_11, e_11 = x_gain_and_phase_error(scenario)
-    raw = r_p * r_s * (
-        q_bar * (1.0 - binary_entropy(e_11)) - scenario.params.f * binary_entropy(e_z)
-    )
+    raw = r_p * r_s * (q_bar * (1.0 - binary_entropy(e_11)) - params.f * binary_entropy(e_z))
     return KeyRateBreakdown(
         p=p,
         r_p=r_p,
@@ -398,56 +357,32 @@ def key_rate(scenario: Scenario) -> KeyRateBreakdown:
         y_11=y_11,
         e_11=e_11,
         raw_rate=raw,
-        rate=max(raw, 0.0),
+        rate=_where(raw < 0.0, 0.0, raw),
     )
+
+
+def key_rate(scenario: Scenario) -> KeyRateBreakdown:
+    """Per-round secret-key rate with all intermediate quantities.
+
+    Assembles R = r_p * r_s * { q_bar_11 [1 - H(e_11)] - f H(e_z) } and
+    clamps negative balances to zero (the raw value is retained).
+    """
+    return _key_rate_terms(scenario, scenario.mu_a, scenario.mu_b)
 
 
 def key_rate_grid(scenario: Scenario, mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
     """Clamped key rate of :func:`key_rate` broadcast over intensity arrays.
 
     The arms, interval and parameters come from ``scenario``; its own
-    intensities are ignored.  The intensity-dependent terms repeat the
-    scalar formulas as numpy expressions in the same order of operations,
-    and the intensity-independent ones (the single-photon yields, the X-basis
-    gain and phase error) come from the scalar functions once per call.
-    numpy's exp/expm1/log differ from ``math`` in the last bit on some
-    inputs, so a value can differ from ``key_rate(...).rate`` by a few ulps.
+    intensities are ignored.  Both views run the same chain: on arrays the
+    intensity-dependent terms go through numpy, while the
+    intensity-independent ones (the single-photon yields, the X-basis gain
+    and phase error) are computed once per call as floats.  numpy's
+    exp/expm1/log differ from ``math`` in the last bit on some inputs, so a
+    value can differ from ``key_rate(...).rate`` by a few ulps.
     """
-    params = scenario.params
     mu_a, mu_b = np.asarray(mu_a, dtype=float), np.asarray(mu_b, dtype=float)
-
-    def click(x: np.ndarray) -> np.ndarray:
-        return -np.expm1(-x) + 2.0 * params.p_d * np.exp(-x)
-
-    def entropy(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-        return np.where((x == 0.0) | (x == 1.0), 0.0, h)
-
-    x_a, x_b = scenario.eta_a * mu_a, scenario.eta_b * mu_b
-    pr00 = click_prob_given_mean(0.0, params.p_d)
-    pr01, pr10, pr11 = click(x_b), click(x_a), click(x_a + x_b)
-    p = (((pr00 + pr01) + pr10) + pr11) / 4.0
-    same, cross = pr00 * pr11, pr01 * pr10
-    pairs = same + cross
-    if not np.all(pairs > 0.0):
-        raise ModelDegenerateError("zero Z-pair probability: key rate undefined")
-    if np.any(p > 1.0):
-        raise ValueError(f"click probability must be in [0, 1], got {np.max(p)}")
-    if math.isinf(scenario.lam):
-        r_p = p / 2.0
-    else:
-        window_hit = -np.expm1(scenario.lam * np.log1p(-p))
-        r_p = 1.0 / (1.0 / (p * window_hit) + 1.0 / p)
-    r_s = 2.0 * pairs / (16.0 * p * p)
-    e_z = same / pairs
-    y_same = click_prob_given_photons(0, 0, scenario) * click_prob_given_photons(1, 1, scenario)
-    y_cross = click_prob_given_photons(1, 0, scenario) * click_prob_given_photons(0, 1, scenario)
-    weight = mu_a * np.exp(-mu_a) * mu_b * np.exp(-mu_b)
-    q_bar = weight * (y_same + y_cross) / pairs
-    _, e_11 = x_gain_and_phase_error(scenario)
-    raw = r_p * r_s * (q_bar * (1.0 - binary_entropy(e_11)) - params.f * entropy(e_z))
-    return np.maximum(raw, 0.0)
+    return _key_rate_terms(scenario, mu_a, mu_b).rate
 
 
 def linearized_key_rate(scenario: Scenario) -> KeyRateBreakdown:

@@ -11,6 +11,7 @@ closed-form stationary points of the linearized model to ~1e-9.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -207,7 +208,9 @@ def optimize_intensities(problem: OptimizationProblem, grid_resolution: int = 64
     zero everywhere on the grid (e.g. beyond the distance cutoff), the report
     comes back non-converged with r_star == 0.
     """
-    rate = problem.rate
+    # Nelder-Mead's start and result, the polish's stencils and the final
+    # checks revisit points already evaluated; each is computed once.
+    rate = functools.cache(problem.rate)
     r_grid, mu_a0, mu_b0 = _grid_scan(problem, grid_resolution)
     if r_grid <= 0.0:
         return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, grid_resolution)

@@ -32,6 +32,7 @@ from mpqkd.optimize import (
     optimize_intensities,
     plob_bound,
 )
+from mpqkd.sweep import _delta_ratio
 
 PARAMS = SystemParams()
 
@@ -44,15 +45,11 @@ def _criterion(number: int, label: str, passed: bool, detail: str = "") -> None:
     assert passed, line
 
 
-def _gap_ratio(delta_km: float, params: SystemParams = PARAMS) -> float:
-    return 10.0 ** (params.alpha * delta_km / 10.0)
-
-
 def _oi_problem(
     total_km: float, delta_km: float, lam: float, params: SystemParams = PARAMS
 ) -> OptimizationProblem:
     distance_a = (total_km - delta_km) / 2.0
-    return OptimizationProblem(distance_a, _gap_ratio(delta_km, params), lam, params)
+    return OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
 
 
 def _oi_rate(total_km: float, delta_km: float, lam: float, params: SystemParams = PARAMS) -> float:
@@ -192,7 +189,7 @@ def test_criterion_08_method_dominance_and_150km_gap_reach():
     for delta_km in (50.0, 100.0, 150.0):
         for total in np.arange(delta_km + 20.0, 401.0, 25.0):
             distance_a = (total - delta_km) / 2.0
-            problem = OptimizationProblem(distance_a, _gap_ratio(delta_km), 1e6)
+            problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, PARAMS), 1e6)
             oi = optimize_intensities(problem).r_star
             af = adding_fiber_rate(problem)
             if oi > 0.0 and af > 0.0:

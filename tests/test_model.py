@@ -1,4 +1,5 @@
 """Tests for the analytic channel and key-rate model."""
+import dataclasses
 import math
 import random
 
@@ -7,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpqkd
 from mpqkd.decoy import single_photon_z_yield
 from mpqkd.model import (
-    IntensityBits,
+    KeyRateBreakdown,
     Link,
     ModelDegenerateError,
     Scenario,
     SystemParams,
     binary_entropy,
-    click_prob_given_intensity,
+    click_prob_given_mean,
     click_prob_given_photons,
     distance_from_transmittance,
     key_rate,
@@ -24,12 +26,8 @@ from mpqkd.model import (
     link_at,
     make_scenario,
     pairing_rate,
-    round_click_prob,
-    single_photon_ratio,
     transmittance_from_distance,
     x_gain_and_phase_error,
-    z_bit_error,
-    z_pair_ratio,
 )
 
 PARAMS = SystemParams()
@@ -54,6 +52,12 @@ def scenario_with_etas(eta_a, eta_b, mu_a, mu_b, lam=1e6, params=NO_DARK) -> Sce
         lam=lam,
         params=params,
     )
+
+
+def selector_clicks(sc: Scenario) -> tuple[float, float, float, float]:
+    """Click probabilities of the 00, 01, 10 and 11 intensity selectors."""
+    x_a, x_b = sc.eta_a * sc.mu_a, sc.eta_b * sc.mu_b
+    return tuple(click_prob_given_mean(x, sc.params.p_d) for x in (0.0, x_b, x_a, x_a + x_b))
 
 
 class TestParamsAndTypes:
@@ -83,9 +87,9 @@ class TestParamsAndTypes:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
-    def test_intensity_bits_validation(self):
-        with pytest.raises(ValueError):
-            IntensityBits(2, 0)
+    def test_package_exports_resolve(self):
+        for name in mpqkd.__all__:
+            assert getattr(mpqkd, name) is not None, name
 
     def test_scenario_rejects_inconsistent_link(self):
         with pytest.raises(ValueError):
@@ -141,22 +145,19 @@ class TestTransmittance:
 
 class TestClickProbabilities:
     def test_vacuum_no_dark_never_clicks(self):
-        sc = scenario_at(params=NO_DARK)
-        assert click_prob_given_intensity(IntensityBits(0, 0), sc) == 0.0
+        assert click_prob_given_mean(0.0, NO_DARK.p_d) == 0.0
 
     def test_vacuum_dark_counts_only(self):
-        sc = scenario_at()
-        assert click_prob_given_intensity(IntensityBits(0, 0), sc) == pytest.approx(
-            2.4e-8, rel=1e-9
-        )
+        assert click_prob_given_mean(0.0, PARAMS.p_d) == pytest.approx(2.4e-8, rel=1e-9)
 
     def test_signal_signal_exponential(self):
-        # eta_a mu_a = 1e-3, eta_b mu_b = 2e-3 -> 1 - exp(-3e-3)
+        # eta_a mu_a = 1e-3, eta_b mu_b = 2e-3: the 11 round clicks with
+        # 1 - exp(-3e-3), and p averages it with the 01, 10 and 00 rounds
         sc = scenario_with_etas(0.002, 0.004, 0.5, 0.5)
         expected = 1.0 - math.exp(-0.003)
-        assert click_prob_given_intensity(IntensityBits(1, 1), sc) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert click_prob_given_mean(0.003, 0.0) == pytest.approx(expected, rel=1e-12)
+        p = (0.0 + (1.0 - math.exp(-0.002)) + (1.0 - math.exp(-0.001)) + expected) / 4.0
+        assert key_rate(sc).p == pytest.approx(p, rel=1e-12, abs=0.0)
 
     def test_photon_vacuum(self):
         sc = scenario_at(params=NO_DARK)
@@ -195,26 +196,27 @@ class TestClickProbabilities:
                 rng.uniform(1e-3, 1.0),
                 params=SystemParams(p_d=rng.uniform(0, 0.4)),
             )
-            for z_a in (0, 1):
-                for z_b in (0, 1):
-                    pr = click_prob_given_intensity(IntensityBits(z_a, z_b), sc)
-                    assert 0.0 <= pr <= 1.0
+            for pr in selector_clicks(sc):
+                assert 0.0 <= pr <= 1.0
             assert 0.0 <= click_prob_given_photons(rng.randrange(5), rng.randrange(5), sc) <= 1.0
 
 
 class TestRoundClickProb:
     def test_blackout(self):
         sc = scenario_with_etas(1e-300, 1e-300, 0.5, 0.5)
-        assert round_click_prob(sc) < 1e-200
+        assert sum(selector_clicks(sc)) / 4.0 < 1e-200
+        # arms faint enough to underflow only p * p still evaluate, at p = eta mu
+        sc = scenario_with_etas(1e-150, 1e-150, 0.5, 0.5)
+        assert key_rate(sc).p == pytest.approx(5e-151, rel=1e-12, abs=0.0)
 
     def test_linearization_within_tenth_percent(self):
         sc = scenario_with_etas(0.002, 0.002, 0.5, 0.5)  # eta*mu = 1e-3 per arm
         linear = (sc.eta_a * sc.mu_a + sc.eta_b * sc.mu_b) / 2.0
-        assert abs(round_click_prob(sc) - linear) / linear < 1e-3
+        assert abs(key_rate(sc).p - linear) / linear < 1e-3
 
     def test_half_dark_rate_saturates(self):
         sc = scenario_at(params=SystemParams(p_d=0.5))
-        assert round_click_prob(sc) == pytest.approx(1.0, abs=1e-15)
+        assert key_rate(sc).p == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPairingRate:
@@ -230,6 +232,16 @@ class TestPairingRate:
 
     def test_zero_click_limit(self):
         assert pairing_rate(0.0, 100) == 0.0
+
+    @pytest.mark.parametrize("lam", INTERVALS)
+    def test_endpoints_and_arrays(self, lam):
+        assert pairing_rate(0.0, lam) == 0.0
+        assert pairing_rate(1.0, lam) == 0.5
+        p = np.array([0.0, 1e-4, 0.3, 0.9, 1.0])
+        expected = [pairing_rate(float(x), lam) for x in p]
+        assert pairing_rate(p, lam).tolist() == pytest.approx(expected, rel=1e-14, abs=0.0)
+        with pytest.raises(ValueError):
+            pairing_rate(np.array([0.5, 1.1]), lam)
 
     def test_negative_click_rejected(self):
         with pytest.raises(ValueError):
@@ -254,28 +266,28 @@ class TestZPairQuantities:
     def test_z_ratio_linearized_closed_form(self):
         # small intensities: r_s -> eta_a eta_b mu_a mu_b / (8 p^2)
         sc = scenario_with_etas(0.002, 0.002, 0.5, 0.5)
-        p = round_click_prob(sc)
-        closed = sc.eta_a * sc.eta_b * sc.mu_a * sc.mu_b / (8.0 * p * p)
-        assert z_pair_ratio(sc) == pytest.approx(closed, rel=2e-3)
+        bd = key_rate(sc)
+        closed = sc.eta_a * sc.eta_b * sc.mu_a * sc.mu_b / (8.0 * bd.p * bd.p)
+        assert bd.r_s == pytest.approx(closed, rel=2e-3)
 
     def test_arm_swap_symmetry(self):
         sc = scenario_with_etas(0.01, 0.0007, 0.3, 0.8)
         swapped = scenario_with_etas(0.0007, 0.01, 0.8, 0.3)
-        assert z_pair_ratio(sc) == pytest.approx(z_pair_ratio(swapped), rel=1e-14)
+        assert key_rate(sc).r_s == pytest.approx(key_rate(swapped).r_s, rel=1e-14)
 
     def test_bit_error_zero_without_darks(self):
-        assert z_bit_error(scenario_at(params=NO_DARK)) == 0.0
+        assert key_rate(scenario_at(params=NO_DARK)).e_z == 0.0
 
     def test_bit_error_small_positive_with_darks(self):
-        e = z_bit_error(scenario_at(100.0, 100.0, 0.5, 0.5))
+        e = key_rate(scenario_at(100.0, 100.0, 0.5, 0.5)).e_z
         assert 0.0 < e < 1e-4
 
     def test_single_photon_ratio_approaches_one(self):
         sc = scenario_at(mu_a=1e-6, mu_b=1e-6, params=NO_DARK)
-        assert single_photon_ratio(sc) == pytest.approx(1.0, abs=1e-4)
+        assert key_rate(sc).q_bar_11 == pytest.approx(1.0, abs=1e-4)
 
     def test_single_photon_ratio_in_unit_interval(self):
-        q = single_photon_ratio(scenario_at())
+        q = key_rate(scenario_at()).q_bar_11
         assert 0.0 < q < 1.0
 
     def test_linearization_consistency(self):
@@ -289,9 +301,10 @@ class TestZPairQuantities:
             mu_b = rng.uniform(0.05, min(1.0, 1e-3 / eta_b))
             sc = scenario_with_etas(eta_a, eta_b, mu_a, mu_b)
             lin = linearized_key_rate(sc)
-            assert round_click_prob(sc) == pytest.approx(lin.p, rel=5e-3)
-            assert z_pair_ratio(sc) == pytest.approx(lin.r_s, rel=5e-3)
-            assert single_photon_ratio(sc) == pytest.approx(lin.q_bar_11, rel=5e-3)
+            bd = key_rate(sc)
+            assert bd.p == pytest.approx(lin.p, rel=5e-3)
+            assert bd.r_s == pytest.approx(lin.r_s, rel=5e-3)
+            assert bd.q_bar_11 == pytest.approx(lin.q_bar_11, rel=5e-3)
 
 
 class TestXGainAndPhaseError:
@@ -316,6 +329,9 @@ class TestBinaryEntropy:
     def test_limits(self):
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
+        x = np.array([0.0, 0.04, 0.5, 1.0])
+        expected = [0.0, binary_entropy(0.04), 1.0, 0.0]
+        assert binary_entropy(x).tolist() == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_maximum(self):
         assert binary_entropy(0.5) == 1.0
@@ -325,7 +341,7 @@ class TestBinaryEntropy:
         assert binary_entropy(0.04) == pytest.approx(expected, rel=1e-14)
         assert binary_entropy(0.04) == pytest.approx(0.2422921890, rel=1e-9)
 
-    @pytest.mark.parametrize("x", [-0.01, 1.01])
+    @pytest.mark.parametrize("x", [-0.01, 1.01, np.array([0.2, 1.01])])
     def test_domain(self, x):
         with pytest.raises(ValueError):
             binary_entropy(x)
@@ -389,6 +405,93 @@ class TestKeyRate:
         assert total == 1.0
 
 
+# Reference oracle: the per-term scalar chain key_rate ran before the key
+# rate had one implementation for floats and arrays.  It recomputes the four
+# selector click probabilities in every term, through math only.
+
+
+def oracle_click_prob(z_a: int, z_b: int, scenario: Scenario) -> float:
+    x = scenario.eta_a * scenario.mu_a * z_a + scenario.eta_b * scenario.mu_b * z_b
+    return -math.expm1(-x) + 2.0 * scenario.params.p_d * math.exp(-x)
+
+
+def oracle_round_click_prob(scenario: Scenario) -> float:
+    total = 0.0
+    for z_a in (0, 1):
+        for z_b in (0, 1):
+            total += oracle_click_prob(z_a, z_b, scenario)
+    return total / 4.0
+
+
+def oracle_pairing_rate(p: float, lam: float) -> float:
+    if p < 0.0 or p > 1.0:
+        raise ValueError(f"click probability must be in [0, 1], got {p}")
+    if p == 0.0:
+        return 0.0
+    if math.isinf(lam):
+        return p / 2.0
+    window_hit = -math.expm1(lam * math.log1p(-p)) if p < 1.0 else 1.0
+    return 1.0 / (1.0 / (p * window_hit) + 1.0 / p)
+
+
+def oracle_z_combination_products(scenario: Scenario) -> tuple[float, float]:
+    pr = {
+        (z_a, z_b): oracle_click_prob(z_a, z_b, scenario) for z_a in (0, 1) for z_b in (0, 1)
+    }
+    return pr[(0, 0)] * pr[(1, 1)], pr[(0, 1)] * pr[(1, 0)]
+
+
+def oracle_z_pair_ratio(scenario: Scenario) -> float:
+    p = oracle_round_click_prob(scenario)
+    if p <= 0.0:
+        raise ModelDegenerateError("zero click probability: Z-pair ratio undefined")
+    same, cross = oracle_z_combination_products(scenario)
+    return 2.0 * (same + cross) / (16.0 * p * p)
+
+
+def oracle_z_bit_error(scenario: Scenario) -> float:
+    same, cross = oracle_z_combination_products(scenario)
+    if same + cross <= 0.0:
+        raise ModelDegenerateError("zero Z-pair probability: bit error undefined")
+    return same / (same + cross)
+
+
+def oracle_single_photon_ratio(scenario: Scenario) -> float:
+    same, cross = oracle_z_combination_products(scenario)
+    denominator = same + cross
+    if denominator <= 0.0:
+        raise ModelDegenerateError("zero Z-pair probability: single-photon ratio undefined")
+    weight = (
+        scenario.mu_a
+        * math.exp(-scenario.mu_a)
+        * scenario.mu_b
+        * math.exp(-scenario.mu_b)
+    )
+    y_same = click_prob_given_photons(0, 0, scenario) * click_prob_given_photons(1, 1, scenario)
+    y_cross = click_prob_given_photons(1, 0, scenario) * click_prob_given_photons(0, 1, scenario)
+    return weight * (y_same + y_cross) / denominator
+
+
+def oracle_binary_entropy(x: float) -> float:
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def oracle_key_rate(scenario: Scenario) -> KeyRateBreakdown:
+    p = oracle_round_click_prob(scenario)
+    r_p = oracle_pairing_rate(p, scenario.lam)
+    r_s = oracle_z_pair_ratio(scenario)
+    e_z = oracle_z_bit_error(scenario)
+    q_bar = oracle_single_photon_ratio(scenario)
+    y_11, e_11 = x_gain_and_phase_error(scenario)
+    raw = r_p * r_s * (
+        q_bar * (1.0 - oracle_binary_entropy(e_11))
+        - scenario.params.f * oracle_binary_entropy(e_z)
+    )
+    return KeyRateBreakdown(p, r_p, r_s, q_bar, e_z, y_11, e_11, raw, max(raw, 0.0))
+
+
 def _rate_scale(breakdown) -> float:
     """Size of the key rate before the privacy and correction terms cancel."""
     return breakdown.r_p * breakdown.r_s * breakdown.q_bar_11
@@ -402,6 +505,22 @@ grid_cases = dict(
     lam=st.sampled_from(INTERVALS),
     p_d=st.sampled_from(DARK_COUNT_RATES),
 )
+
+
+class TestKeyRateOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(**grid_cases)
+    def test_matches_scalar_chain_bit_for_bit(
+        self, distance_a, distance_b, mu_a, mu_b, lam, p_d
+    ):
+        params = SystemParams(p_d=p_d)
+        for m_a in mu_a:
+            for m_b in mu_b:
+                scenario = make_scenario(distance_a, distance_b, m_a, m_b, lam, params)
+                value, reference = key_rate(scenario), oracle_key_rate(scenario)
+                for field in dataclasses.fields(KeyRateBreakdown):
+                    name = field.name
+                    assert getattr(value, name) == getattr(reference, name), name
 
 
 class TestKeyRateGrid:
@@ -424,15 +543,16 @@ class TestKeyRateGrid:
         "scenario, error",
         [
             (scenario_with_etas(1e-300, 1e-300, 0.5, 0.5, math.inf), ModelDegenerateError),
+            (scenario_with_etas(1e-300, 1e-300, 0.5, 0.5, 1e6), ModelDegenerateError),
             (scenario_at(params=SystemParams(p_d=0.6)), ValueError),
         ],
-        ids=["blackout", "click-above-one"],
+        ids=["blackout", "blackout-finite-interval", "click-above-one"],
     )
     def test_rejects_degenerate_scenarios(self, scenario, error):
+        # at the blackouts p * p and p * w underflow to zero
         with pytest.raises(error):
             key_rate_grid(scenario, np.array([0.5]), np.array([0.5]))
-        # the scalar path rejects them too; at the blackout its p * p underflows
-        with pytest.raises((ValueError, ZeroDivisionError)):
+        with pytest.raises(error):
             key_rate(scenario)
 
     @settings(max_examples=100, deadline=None)

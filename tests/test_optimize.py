@@ -1,11 +1,13 @@
 """Tests for intensity optimization, closed forms and baselines."""
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpqkd.model import SystemParams
+from mpqkd import optimize
+from mpqkd.model import SystemParams, key_rate
 from mpqkd.optimize import (
     _GRID_TIE_TOL,
     OptimizationProblem,
@@ -98,6 +100,25 @@ class TestOptimizerAgainstTables:
         a = optimize_intensities(problem)
         b = optimize_intensities(problem)
         assert (a.mu_a_star, a.mu_b_star, a.r_star) == (b.mu_a_star, b.mu_b_star, b.r_star)
+
+    @pytest.mark.parametrize("lam", [1.0, 1e6, math.inf])
+    def test_each_point_evaluated_once(self, monkeypatch, lam):
+        problem = OptimizationProblem(100.0, 10.0, lam)
+        calls = []
+
+        def counting_key_rate(scenario):
+            calls.append((scenario.mu_a, scenario.mu_b))
+            return key_rate(scenario)
+
+        monkeypatch.setattr(optimize, "key_rate", counting_key_rate)
+        report = optimize_intensities(problem)
+        # at most the grid's chosen point, the Nelder-Mead start, is evaluated twice
+        assert len(calls) <= len(set(calls)) + 1
+        if lam == 1e6:
+            assert len(calls) <= 212
+        # the same report when every visit re-evaluates the rate
+        monkeypatch.setattr(optimize, "functools", SimpleNamespace(cache=lambda f: f))
+        assert optimize_intensities(problem) == report
 
 
 class TestGridScan:
