@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .model import (
@@ -56,6 +57,12 @@ __all__ = [
 
 # Relative slack on the observable equality constraints inside the LPs.
 _EQUALITY_TOL = 1e-10
+# Photons per party on the LPs' class grid; the tail slacks cover the rest.
+_K_MAX = 20
+# k_a! k_b! per class: every k! up to 22! is an exact double, so the float
+# product rounds like the integer one.
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(_K_MAX + 1)])
+_FACTORIAL_PAIRS = np.multiply.outer(_FACTORIALS, _FACTORIALS)
 
 
 class ObservablesInconsistentError(RuntimeError):
@@ -71,8 +78,7 @@ class PairIntensityVector(NamedTuple):
 
 @dataclass(frozen=True)
 class DecoyConfig:
-    """Intensity sets {0, nu, mu} per party, their selection probabilities and
-    the photon-number cutoff used by the estimation LPs.
+    """Intensity sets {0, nu, mu} per party and their selection probabilities.
 
     Selection probabilities are shared between the parties (s_nu and s_mu are
     the same for both); nu may be 0, which degenerates the decoy setting into
@@ -87,7 +93,6 @@ class DecoyConfig:
     s_0: float
     s_nu: float
     s_mu: float
-    k_max: int = 20
 
     def __post_init__(self) -> None:
         for name, mu in (("mu_a", self.mu_a), ("mu_b", self.mu_b)):
@@ -103,8 +108,6 @@ class DecoyConfig:
             raise ValueError(f"selection probabilities must be >= 0, got {probs}")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"selection probabilities must sum to 1, got {sum(probs)}")
-        if self.k_max < 2:
-            raise ValueError(f"photon cutoff must be >= 2, got {self.k_max}")
 
     def levels(self, party: str) -> tuple[float, float, float]:
         if party == "a":
@@ -118,42 +121,26 @@ class DecoyConfig:
 
     def z_settings(self) -> list[PairIntensityVector]:
         """Z-compatible pair sums with nonzero prior, vacuum-vacuum excluded."""
-        prior = pair_intensity_prior(self)
-        out = []
-        for sum_a in sorted({0.0, self.nu_a, self.mu_a}):
-            for sum_b in sorted({0.0, self.nu_b, self.mu_b}):
-                if sum_a == 0.0 and sum_b == 0.0:
-                    continue
-                vec = PairIntensityVector(sum_a, sum_b)
-                if prior.get(vec, 0.0) > 0.0:
-                    out.append(vec)
-        return out
+        return self._settings(set(self.levels("a")), set(self.levels("b")))
 
     def x_settings(self) -> list[PairIntensityVector]:
         """X-compatible pair sums: each party uses the same intensity in both
         rounds (vacuum included, mirroring the Z construction), not all four
         rounds vacuum."""
+        sums_a, sums_b = ({2.0 * level for level in self.levels(party)} for party in "ab")
+        return self._settings(sums_a, sums_b)
+
+    def _settings(self, sums_a: set[float], sums_b: set[float]) -> list[PairIntensityVector]:
+        """Pair sums in sorted order with nonzero prior, vacuum-vacuum excluded."""
         prior = pair_intensity_prior(self)
-        sums_a = sorted({2.0 * level for level in self.levels("a")})
-        sums_b = sorted({2.0 * level for level in self.levels("b")})
-        out = []
-        for sum_a in sums_a:
-            for sum_b in sums_b:
-                if sum_a == 0.0 and sum_b == 0.0:
-                    continue
-                vec = PairIntensityVector(sum_a, sum_b)
-                if prior.get(vec, 0.0) > 0.0:
-                    out.append(vec)
-        return out
+        vectors = [PairIntensityVector(a, b) for a in sorted(sums_a) for b in sorted(sums_b)]
+        return [vec for vec in vectors if vec != (0.0, 0.0) and prior.get(vec, 0.0) > 0.0]
 
 
-def decoy_config_for(
-    scenario: Scenario, s_nu: float = 1e-3, s_mu: float | None = None, k_max: int = 20
-) -> DecoyConfig:
+def decoy_config_for(scenario: Scenario, s_nu: float = 1e-3) -> DecoyConfig:
     """Config matching a scenario: signal and vacuum share the remaining
     probability equally, the decoy intensity gets the (small) s_nu."""
-    if s_mu is None:
-        s_mu = (1.0 - s_nu) / 2.0
+    s_mu = (1.0 - s_nu) / 2.0
     return DecoyConfig(
         mu_a=scenario.mu_a,
         mu_b=scenario.mu_b,
@@ -162,7 +149,6 @@ def decoy_config_for(
         s_0=1.0 - s_nu - s_mu,
         s_nu=s_nu,
         s_mu=s_mu,
-        k_max=k_max,
     )
 
 
@@ -316,71 +302,68 @@ def _solve_basis_lp(
     settings: list[PairIntensityVector],
     totals: Mapping[PairIntensityVector, float],
     errors: Mapping[PairIntensityVector, float],
-    k_max: int,
 ) -> tuple[float, float]:
     """Min single-photon yield and max single-photon error yield consistent
-    with the observables.
+    with the observables; (0, 1) when no setting was observed.
 
     Unknowns are the per-photon-class yields m_k and error yields e_k on the
     truncated grid, plus one tail slack per observable equation bounded by
-    the truncated Poisson mass (yields never exceed 1).
+    the truncated Poisson mass (yields never exceed 1).  Each equation is two
+    inequality rows with a relative tolerance; e_k <= m_k closes the system.
+
+    The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
+    per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
+    the last bit in ~3% of them, which moves the bounds by up to 1.5e-10
+    relative.  The constraint matrix is built once, as sparse blocks, for
+    both solves.  Its rows stay in the order +m, -m, +e, -e per setting, then
+    e_k <= m_k: HiGHS's path depends on the row order, and grouping all "+"
+    rows before all "-" rows moved the bounds by up to 1.2e-4 relative.
     """
-    classes = [(k_a, k_b) for k_a in range(k_max + 1) for k_b in range(k_max + 1)]
-    index = {k: i for i, k in enumerate(classes)}
-    n = len(classes)
+    if not settings:
+        return 0.0, 1.0
+    n = (_K_MAX + 1) ** 2
     n_settings = len(settings)
     n_vars = 2 * n + 2 * n_settings
+
+    # Weights of the (k_a, k_b) classes in row-major order, one row per setting.
+    photons = range(_K_MAX + 1)
+    decay = np.array([math.exp(-vec.sum_a - vec.sum_b) for vec in settings])
+    powers_a = np.array([[vec.sum_a**k for k in photons] for vec in settings])
+    powers_b = np.array([[vec.sum_b**k for k in photons] for vec in settings])
+    weights = decay[:, None, None] * powers_a[:, :, None] * powers_b[:, None, :] / _FACTORIAL_PAIRS
+    weights = weights.reshape(n_settings, n)
+    tails = np.maximum(1.0 - weights.sum(axis=1), 0.0)
 
     # Work in units of the largest observable: yields and slacks scale by
     # 1/unit, keeping all right-hand sides within a few decades of 1.  The
     # raw observables sit as low as 1e-13, far below solver feasibility
     # tolerances.
-    unit = max(max(totals[vec] for vec in settings), 1e-300)
+    observed = np.array([[totals[vec], errors[vec]] for vec in settings])
+    unit = max(observed[:, 0].max(), 1e-300)
+    # Relative equality tolerance: an absolute 1e-10 slack would swamp the
+    # dark-count-dominated observables.
+    scaled = observed / unit
+    tol = _EQUALITY_TOL * scaled
+    # Rows: +m, -m, +e, -e per setting, then e_k <= m_k.
+    b_ub = np.concatenate([np.stack([scaled + tol, -(scaled - tol)], axis=2).ravel(), np.zeros(n)])
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    w = sparse.csr_matrix(weights)
+    eye_s, eye_n = sparse.identity(n_settings, format="csr"), sparse.identity(n, format="csr")
+    blocks = [
+        [w, None, eye_s, None],
+        [-w, None, -eye_s, None],
+        [None, w, None, eye_s],
+        [None, -w, None, -eye_s],
+        [-eye_n, eye_n, None, None],
+    ]
+    # bmat groups the rows by block; put each setting's four rows together.
+    order = np.arange(4 * n_settings + n)
+    order[: 4 * n_settings] = order[: 4 * n_settings].reshape(4, n_settings).T.ravel()
+    a_ub = sparse.bmat(blocks, format="csr")[order]
+    upper = np.concatenate([np.ones(2 * n), tails, tails]) / unit
+    bounds = np.column_stack([np.zeros(n_vars), upper])
 
-    def add_equality(coeffs: np.ndarray, value: float) -> None:
-        # Relative equality tolerance: an absolute 1e-10 slack would swamp
-        # the dark-count-dominated observables.
-        scaled = value / unit
-        tol = _EQUALITY_TOL * scaled
-        rows.append(coeffs)
-        rhs.append(scaled + tol)
-        rows.append(-coeffs)
-        rhs.append(-(scaled - tol))
-
-    tails = []
-    for s_idx, vec in enumerate(settings):
-        weights = np.array([poisson_pair_prob(k, vec) for k in classes])
-        tails.append(max(0.0, 1.0 - float(weights.sum())))
-        row_m = np.zeros(n_vars)
-        row_m[:n] = weights
-        row_m[2 * n + s_idx] = 1.0
-        add_equality(row_m, totals[vec])
-        row_e = np.zeros(n_vars)
-        row_e[n : 2 * n] = weights
-        row_e[2 * n + n_settings + s_idx] = 1.0
-        add_equality(row_e, errors[vec])
-
-    # e_k <= m_k
-    for i in range(n):
-        row = np.zeros(n_vars)
-        row[n + i] = 1.0
-        row[i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-
-    a_ub = np.array(rows)
-    b_ub = np.array(rhs)
-    box = 1.0 / unit
-    bounds = (
-        [(0.0, box)] * (2 * n)
-        + [(0.0, t / unit) for t in tails]
-        + [(0.0, t / unit) for t in tails]
-    )
-
-    target = index[(1, 1)]
+    target = _K_MAX + 2  # the (1, 1) class
     results = []
     for objective_sign, column in ((1.0, target), (-1.0, n + target)):
         c = np.zeros(n_vars)
@@ -402,10 +385,8 @@ def _solve_basis_lp(
             )
         if not res.success:
             raise RuntimeError(f"decoy LP failed: {res.message}")
-        results.append(res.x[column] * unit)
-    lower_m = min(max(results[0], 0.0), 1.0)
-    upper_e = min(max(results[1], 0.0), 1.0)
-    return lower_m, upper_e
+        results.append(min(max(res.x[column] * unit, 0.0), 1.0))
+    return results[0], results[1]
 
 
 def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> DecoyBounds:
@@ -417,20 +398,9 @@ def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> D
     setting's detected ratio (0 when the signal setting is not bounded).
     """
     z_settings = [vec for vec in config.z_settings() if vec in observables.z_total]
-    if z_settings:
-        m_z_lower, e_z_upper = _solve_basis_lp(
-            z_settings, observables.z_total, observables.z_error, config.k_max
-        )
-    else:
-        m_z_lower, e_z_upper = 0.0, 1.0
-
+    m_z_lower, e_z_upper = _solve_basis_lp(z_settings, observables.z_total, observables.z_error)
     x_settings = [vec for vec in config.x_settings() if vec in observables.x_total]
-    if x_settings:
-        m_x_lower, e_x_upper = _solve_basis_lp(
-            x_settings, observables.x_total, observables.x_error, config.k_max
-        )
-    else:
-        m_x_lower, e_x_upper = 0.0, 1.0
+    m_x_lower, e_x_upper = _solve_basis_lp(x_settings, observables.x_total, observables.x_error)
 
     signal = config.signal_vector()
     signal_total = observables.z_total.get(signal, 0.0)

@@ -39,6 +39,7 @@ __all__ = [
     "distance_from_transmittance",
     "link_at",
     "make_scenario",
+    "is_pairing_interval",
     "click_prob_given_mean",
     "click_prob_given_photons",
     "pairing_rate",
@@ -124,6 +125,11 @@ def link_at(distance_km: float, params: SystemParams) -> Link:
     return Link(distance_km, transmittance_from_distance(distance_km, params))
 
 
+def is_pairing_interval(lam: float) -> bool:
+    """Whether lam is a valid maximal pairing interval: an integer >= 1, or inf."""
+    return lam == math.inf or (lam >= 1 and float(lam).is_integer())
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A full protocol operating point: two arms, pulse intensities, decoy
@@ -150,10 +156,7 @@ class Scenario:
         for name, nu, mu in (("nu_a", self.nu_a, self.mu_a), ("nu_b", self.nu_b, self.mu_b)):
             if not 0.0 <= nu < mu:
                 raise ValueError(f"{name} must be in [0, {name.replace('nu', 'mu')}), got {nu}")
-        if math.isfinite(self.lam):
-            if self.lam < 1 or self.lam != int(self.lam):
-                raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
-        elif not self.lam == math.inf:
+        if not is_pairing_interval(self.lam):
             raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
         for link in (self.link_a, self.link_b):
             expected = transmittance_from_distance(link.distance_km, self.params)

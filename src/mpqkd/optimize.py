@@ -24,6 +24,7 @@ from .model import (
     Scenario,
     SystemParams,
     distance_from_transmittance,
+    is_pairing_interval,
     key_rate,
     key_rate_grid,
     linearized_key_rate,
@@ -67,7 +68,7 @@ class OptimizationProblem:
             raise ValueError(f"arm length must be > 0 km, got {self.distance_a_km}")
         if self.delta < 1.0:
             raise ValueError(f"transmittance ratio must be >= 1, got {self.delta}")
-        if not (self.lam == math.inf or (self.lam >= 1 and float(self.lam).is_integer())):
+        if not is_pairing_interval(self.lam):
             raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
 
     def distance_b_km(self) -> float:

@@ -24,7 +24,7 @@ from .decoy import (
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
-from .model import SystemParams, key_rate, make_scenario
+from .model import SystemParams, is_pairing_interval, key_rate, make_scenario
 from .montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from .optimize import OptimizationProblem, optimize_intensities, plob_bound
 
@@ -127,10 +127,7 @@ class SweepSpec:
                 problems.append("delta_list: gaps must be >= 0 km")
             if not self.lambda_list:
                 problems.append("lambda_list: must be nonempty")
-            elif any(
-                not (lam == math.inf or (lam >= 1 and float(lam).is_integer()))
-                for lam in self.lambda_list
-            ):
+            elif not all(is_pairing_interval(lam) for lam in self.lambda_list):
                 problems.append("lambda_list: intervals must be integers >= 1 or inf")
             if not self.e_d_list:
                 problems.append("e_d_list: must be nonempty")
@@ -170,15 +167,43 @@ def load_spec(source: str | dict[str, Any]) -> SweepSpec:
     unknown = sorted(set(data) - known)
     if unknown:
         raise SweepValidationError(f"unknown keys: {', '.join(unknown)}")
-    for name in ("delta_list", "e_d_list", "methods"):
-        if name in data and data[name] is not None:
-            data[name] = tuple(data[name])
-    if "lambda_list" in data and data["lambda_list"] is not None:
-        data["lambda_list"] = tuple(_parse_interval(v) for v in data["lambda_list"])
     env_seed = os.environ.get("MPQKD_SEED")
     if env_seed is not None:
         data["seed"] = int(env_seed)
+    problems = [_type_problem(name, value) for name, value in data.items()]
+    problems = [problem for problem in problems if problem]
+    if problems:
+        raise SweepValidationError("; ".join(problems))
+    for name in ("delta_list", "e_d_list", "methods"):
+        if data.get(name) is not None:
+            data[name] = tuple(data[name])
+    if data.get("lambda_list") is not None:
+        data["lambda_list"] = tuple(_parse_interval(v) for v in data["lambda_list"])
     return SweepSpec(**data)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_problem(name: str, value: Any) -> str | None:
+    """Why a spec value has the wrong JSON type for its key, or None."""
+    if name in ("seed", "n_rounds", "workers"):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        return None if ok else f"{name}: must be an integer, got {value!r}"
+    if value is None or name == "mode":
+        return None  # optional keys; the mode is checked against MODES
+    if name == "out":
+        return None if isinstance(value, str) else f"out: must be a path string, got {value!r}"
+    if name == "methods":
+        return None if isinstance(value, list) else f"methods: must be a list, got {value!r}"
+    if name.endswith("_list"):
+        # lambda_list also takes interval names such as "inf"
+        ok = isinstance(value, list) and all(
+            _is_number(v) or (name == "lambda_list" and isinstance(v, str)) for v in value
+        )
+        return None if ok else f"{name}: must be a list of numbers, got {value!r}"
+    return None if _is_number(value) else f"{name}: must be a number, got {value!r}"
 
 
 def _parse_interval(value: Any) -> float:

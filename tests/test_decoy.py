@@ -2,11 +2,16 @@
 import functools
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
+import mpqkd.decoy
 from mpqkd.decoy import (
     DecoyConfig,
     DecoyObservables,
@@ -22,6 +27,7 @@ from mpqkd.decoy import (
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
+from mpqkd.decoy import _EQUALITY_TOL
 from mpqkd.model import SystemParams, click_prob_given_photons, key_rate, make_scenario
 
 # Dark-count rates spanning none, the default and strongly noisy detectors.
@@ -94,6 +100,79 @@ def fold_observables(scenario, config):
     return (*fold(config.z_settings(), z_yields), *fold(config.x_settings(), x_yields))
 
 
+def oracle_basis_lp(settings, totals, errors):
+    """Reference LP: the same program built one row and one scalar Poisson
+    weight at a time, on a dense constraint matrix, with ORACLE_CUTOFF
+    photons per party."""
+    classes = [(k_a, k_b) for k_a in range(ORACLE_CUTOFF + 1) for k_b in range(ORACLE_CUTOFF + 1)]
+    index = {k: i for i, k in enumerate(classes)}
+    n = len(classes)
+    n_settings = len(settings)
+    n_vars = 2 * n + 2 * n_settings
+    unit = max(max(totals[vec] for vec in settings), 1e-300)
+
+    rows, rhs = [], []
+
+    def add_equality(coeffs, value):
+        scaled = value / unit
+        tol = _EQUALITY_TOL * scaled
+        rows.append(coeffs)
+        rhs.append(scaled + tol)
+        rows.append(-coeffs)
+        rhs.append(-(scaled - tol))
+
+    tails = []
+    for s_idx, vec in enumerate(settings):
+        weights = np.array([poisson_pair_prob(k, vec) for k in classes])
+        tails.append(max(0.0, 1.0 - float(weights.sum())))
+        row_m = np.zeros(n_vars)
+        row_m[:n] = weights
+        row_m[2 * n + s_idx] = 1.0
+        add_equality(row_m, totals[vec])
+        row_e = np.zeros(n_vars)
+        row_e[n : 2 * n] = weights
+        row_e[2 * n + n_settings + s_idx] = 1.0
+        add_equality(row_e, errors[vec])
+
+    for i in range(n):  # e_k <= m_k
+        row = np.zeros(n_vars)
+        row[n + i] = 1.0
+        row[i] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+
+    bounds = (
+        [(0.0, 1.0 / unit)] * (2 * n)
+        + [(0.0, t / unit) for t in tails]
+        + [(0.0, t / unit) for t in tails]
+    )
+    target = index[(1, 1)]
+    results = []
+    for objective_sign, column in ((1.0, target), (-1.0, n + target)):
+        c = np.zeros(n_vars)
+        c[column] = objective_sign
+        res = linprog(
+            c,
+            A_ub=np.array(rows),
+            b_ub=np.array(rhs),
+            bounds=bounds,
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-9},
+        )
+        if res.status == 2:
+            raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
+        if not res.success:
+            raise RuntimeError(f"decoy LP failed: {res.message}")
+        results.append(res.x[column] * unit)
+    return min(max(results[0], 0.0), 1.0), min(max(results[1], 0.0), 1.0)
+
+
+def oracle_bounds(observables, config):
+    """:func:`bound_single_photon` with every LP solved by the oracle."""
+    with mock.patch.object(mpqkd.decoy, "_solve_basis_lp", oracle_basis_lp):
+        return bound_single_photon(observables, config)
+
+
 class TestConfig:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -106,10 +185,6 @@ class TestConfig:
     def test_half_mu_decoy_rejected_as_ambiguous(self):
         with pytest.raises(ValueError):
             DecoyConfig(0.5, 0.5, 0.25, 0.05, 0.5, 0.1, 0.4)
-
-    def test_cutoff_floor(self):
-        with pytest.raises(ValueError):
-            DecoyConfig(0.5, 0.5, 0.05, 0.05, 0.5, 0.1, 0.4, k_max=1)
 
     def test_z_settings_exclude_vacuum_vacuum(self):
         cfg = DecoyConfig(0.5, 0.5, 0.05, 0.05, 0.5, 0.1, 0.4)
@@ -345,8 +420,9 @@ class TestBounds:
         totals[signal] = totals[signal] * 1e-6
         errors[signal] = 0.0
         corrupted = DecoyObservables(totals, errors, dict(obs.x_total), dict(obs.x_error))
-        with pytest.raises(ObservablesInconsistentError):
-            bound_single_photon(corrupted, cfg)
+        for solve in (bound_single_photon, oracle_bounds):
+            with pytest.raises(ObservablesInconsistentError):
+                solve(corrupted, cfg)
 
     def test_bracketing_randomized(self):
         rng = random.Random(11)
@@ -372,6 +448,59 @@ class TestBounds:
             bounds = bound_single_photon(expected_observables(sc, cfg), cfg)
             assert bounds.m_z_11_lower <= single_photon_z_yield(sc) * (1 + 1e-9)
             assert bounds.e_z_11_upper >= single_photon_z_error_yield(sc) * (1 - 1e-9)
+
+
+class TestLinearProgram:
+    """The array-built LP against the row-by-row oracle, compared with ==."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        distance_a=st.floats(40.0, 120.0),
+        gap=st.floats(0.0, 60.0),
+        mu_a=st.floats(0.2, 0.9),
+        mu_b=st.floats(0.2, 0.9),
+        nu_frac_a=st.floats(0.1, 0.35),
+        nu_frac_b=st.floats(0.1, 0.35),
+        p_d=st.sampled_from(DARK_COUNT_RATES),
+    )
+    def test_bounds_equal_oracle(self, distance_a, gap, mu_a, mu_b, nu_frac_a, nu_frac_b, p_d):
+        sc = make_scenario(
+            distance_a,
+            distance_a + gap,
+            mu_a,
+            mu_b,
+            1e6,
+            SystemParams(p_d=p_d),
+            nu_a=mu_a * nu_frac_a,
+            nu_b=mu_b * nu_frac_b,
+        )
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        assert bound_single_photon(obs, cfg) == oracle_bounds(obs, cfg)
+
+    def test_two_intensity_config_equals_oracle(self):
+        for p_d in DARK_COUNT_RATES:
+            sc = make_scenario(100.0, 150.0, 0.24, 0.76, 1e6, SystemParams(p_d=p_d))
+            cfg = decoy_config_for(sc, s_nu=0.0)
+            obs = expected_observables(sc, cfg)
+            assert bound_single_photon(obs, cfg) == oracle_bounds(obs, cfg), p_d
+
+    def test_sparse_matrix_without_scalar_weights(self):
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        matrices = []
+
+        def recording_linprog(c, A_ub, **kwargs):
+            matrices.append(A_ub)
+            return linprog(c, A_ub=A_ub, **kwargs)
+
+        with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog), mock.patch.object(
+            mpqkd.decoy, "poisson_pair_prob", side_effect=AssertionError("scalar weight")
+        ):
+            mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
+        assert len(matrices) == 2 and matrices[0] is matrices[1]
+        assert sparse.issparse(matrices[0])
 
 
 class TestDecoyKeyRate:

@@ -212,6 +212,25 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"n_rounds": "100"}, "n_rounds: must be an integer"),
+            ({"workers": 2.5}, "workers: must be an integer"),
+            ({"distance_start": "200"}, "distance_start: must be a number"),
+            ({"delta_list": "0"}, "delta_list: must be a list"),
+            ({"lambda_list": [True]}, "lambda_list: must be a list of numbers"),
+            ({"seed": 1.5}, "seed: must be an integer"),
+        ],
+        ids=["n_rounds-str", "workers-float", "distance_start-str", "delta_list-str",
+             "lambda_list-bool", "seed-float"],
+    )
+    def test_mistyped_value_is_a_validation_error(self, tmp_path, capsys, override, message):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**CUSTOM_BASE, **override}))
+        assert main(["run", "--config", str(config)]) == 1
+        assert f"validation error: {message}" in capsys.readouterr().err
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(
