@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
-from .model import SystemParams
+from .model import SystemParams, parse_pairing_interval
 from .optimize import OptimizationProblem, optimize_intensities
 from .sweep import (
     CSV_COLUMNS,
@@ -87,11 +86,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    lam = math.inf if str(args.lam).lower() in ("inf", "infinite", "infinity") else float(args.lam)
     problem = OptimizationProblem(
         distance_a_km=args.la,
         delta=args.delta,
-        lam=lam,
+        lam=parse_pairing_interval(args.lam),
         params=SystemParams(e_d=args.e_d),
     )
     report = optimize_intensities(problem)

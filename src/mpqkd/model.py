@@ -40,6 +40,7 @@ __all__ = [
     "link_at",
     "make_scenario",
     "is_pairing_interval",
+    "parse_pairing_interval",
     "click_prob_given_mean",
     "click_prob_given_photons",
     "pairing_rate",
@@ -128,6 +129,18 @@ def link_at(distance_km: float, params: SystemParams) -> Link:
 def is_pairing_interval(lam: float) -> bool:
     """Whether lam is a valid maximal pairing interval: an integer >= 1, or inf."""
     return lam == math.inf or (lam >= 1 and float(lam).is_integer())
+
+
+def parse_pairing_interval(value: str | float) -> float:
+    """A pairing interval as written in a config or on the command line: a
+    number, or "inf" / "infinite" / "infinity" in any case.  Validity is
+    :func:`is_pairing_interval`'s job."""
+    if isinstance(value, str) and value.lower() in ("inf", "infinite", "infinity"):
+        return math.inf
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"cannot parse pairing interval {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 Monte Carlo / decoy verification harness.
 
 A sweep is described by a :class:`SweepSpec` (usually loaded from a strict
-JSON document), expands deterministically into grid tasks, evaluates them
-(optionally on one pool of worker processes per sweep) and emits
-fixed-header CSV rows with 10-significant-digit decimal formatting, so
-identical specs produce byte-identical files.
+JSON document).  One expansion turns every mode into curves: a curve is a
+list of distance points, and a point holds one task per method.  One loop
+evaluates them, mapping each curve's tasks in a single call (the lazy
+builtin ``map``, or one process pool per sweep), and stops a figure curve
+once its rate falls below ``CURVE_CUTOFF``.  Rows are emitted as
+fixed-header CSV with 10-significant-digit decimal formatting, so identical
+specs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -13,8 +16,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterable
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import islice, product
+from typing import Any, Callable, Iterable, Iterator
 
 from .decoy import (
     bound_single_photon,
@@ -24,7 +28,13 @@ from .decoy import (
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
-from .model import SystemParams, is_pairing_interval, key_rate, make_scenario
+from .model import (
+    SystemParams,
+    is_pairing_interval,
+    key_rate,
+    make_scenario,
+    parse_pairing_interval,
+)
 from .montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from .optimize import OptimizationProblem, optimize_intensities, plob_bound
 
@@ -40,46 +50,29 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-MODES = (
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "custom",
-)
 METHODS = ("OI", "AF", "PLOB", "fixed-intensity")
 LAMBDA_LADDER = (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
-# Figure sweeps stop a curve once the rate drops below this.
+_E_D = SystemParams().e_d
+# (gap km, λ) of each point of the one-curve presets, in row order; every
+# point is one OI task at 200 km plus the gap.
+_PRESET_POINTS = {
+    "table2": [(0.0, 1e6), (50.0, 1e6), (100.0, 1e6)],
+    "table3": [(0.0, 1.0), (50.0, 1.0), (100.0, 1.0)],
+    "table4": [(50.0, lam) for lam in LAMBDA_LADDER],
+    "table5": [(0.0, lam) for lam in LAMBDA_LADDER],
+    "fig3": [(float(delta_km), lam) for lam in (1e6, 1.0) for delta_km in range(0, 151, 10)],
+}
+# The (gap km, λ, e_d) of each curve of a figure preset, and its methods.
+_FIGURE_CURVES = {
+    "fig4": ([(d, 1e6, _E_D) for d in (0.0, 50.0, 100.0, 150.0)], ("OI", "AF", "PLOB")),
+    "fig5": ([(d, 1.0, _E_D) for d in (0.0, 50.0, 100.0, 150.0)], ("OI", "AF", "PLOB")),
+    "fig6": ([(50.0, lam, _E_D) for lam in LAMBDA_LADDER], ("OI", "PLOB")),
+    "fig7": ([(d, 1e6, e) for e in (0.04, 0.12, 0.2) for d in (0.0, 50.0, 100.0)], ("OI", "PLOB")),
+}
+MODES = (*_PRESET_POINTS, *_FIGURE_CURVES, "custom")
+# Figure sweeps stop a curve once the OI rate drops below this.
 CURVE_CUTOFF = 1e-12
 MAX_TOTAL_KM = 600.0
-
-CSV_COLUMNS = [
-    "total_km",
-    "distance_a_km",
-    "distance_b_km",
-    "delta_km",
-    "lambda",
-    "e_d",
-    "method",
-    "mu_a",
-    "mu_b",
-    "rate",
-    "plob",
-    "plob_det",
-    "p",
-    "r_p",
-    "r_s",
-    "q_bar_11",
-    "e_z",
-    "y_11",
-    "e_11",
-    "raw_rate",
-]
 
 
 class SweepValidationError(ValueError):
@@ -140,12 +133,19 @@ class SweepSpec:
             if self.methods and "fixed-intensity" in self.methods:
                 if self.mu_a is None or self.mu_b is None:
                     problems.append("mu_a/mu_b: required for the fixed-intensity method")
+                for name in ("mu_a", "mu_b"):
+                    mu = getattr(self, name)
+                    if mu is not None and not 0.0 < mu <= 1.0:
+                        problems.append(f"{name}: intensity must be in (0, 1], got {mu!r}")
         else:
             for name in ("delta_list", "lambda_list", "e_d_list", "methods", "mu_a", "mu_b"):
                 if getattr(self, name) is not None:
                     problems.append(f"{name}: not overridable in preset mode {self.mode!r}")
             if self.distance_step is not None and self.distance_step <= 0:
                 problems.append("distance_step: must be > 0")
+            start, stop = self.distance_start, self.distance_stop
+            if start is not None and stop is not None and stop < start:
+                problems.append("distance grid: stop must be >= start")
         if self.n_rounds < 1:
             problems.append("n_rounds: must be >= 1")
         if self.workers < 1:
@@ -178,7 +178,10 @@ def load_spec(source: str | dict[str, Any]) -> SweepSpec:
         if data.get(name) is not None:
             data[name] = tuple(data[name])
     if data.get("lambda_list") is not None:
-        data["lambda_list"] = tuple(_parse_interval(v) for v in data["lambda_list"])
+        try:
+            data["lambda_list"] = tuple(parse_pairing_interval(v) for v in data["lambda_list"])
+        except ValueError as exc:
+            raise SweepValidationError(f"lambda_list: {exc}") from None
     return SweepSpec(**data)
 
 
@@ -198,7 +201,7 @@ def _type_problem(name: str, value: Any) -> str | None:
     if name == "methods":
         return None if isinstance(value, list) else f"methods: must be a list, got {value!r}"
     if name.endswith("_list"):
-        # lambda_list also takes interval names such as "inf"
+        # lambda_list also takes strings such as "inf" (parse_pairing_interval)
         ok = isinstance(value, list) and all(
             _is_number(v) or (name == "lambda_list" and isinstance(v, str)) for v in value
         )
@@ -206,17 +209,9 @@ def _type_problem(name: str, value: Any) -> str | None:
     return None if _is_number(value) else f"{name}: must be a number, got {value!r}"
 
 
-def _parse_interval(value: Any) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinite", "infinity"):
-            return math.inf
-        raise SweepValidationError(f"lambda_list: cannot parse interval {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ResultRow:
-    """One evaluated sweep point."""
+    """One evaluated sweep point; the field order is the CSV column order."""
 
     total_km: float
     distance_a_km: float
@@ -240,6 +235,9 @@ class ResultRow:
     raw_rate: float | None = None
 
 
+CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(ResultRow)]
+
+
 def _delta_ratio(delta_km: float, params: SystemParams) -> float:
     return 10.0 ** (params.alpha * delta_km / 10.0)
 
@@ -252,72 +250,23 @@ def _evaluate_point(task: tuple) -> ResultRow:
     distance_b = distance_a + delta_km
     plob = plob_bound(total_km, params)
     plob_det = plob_bound(total_km, params, include_detector=True)
-    base = dict(
-        total_km=total_km,
-        distance_a_km=distance_a,
-        distance_b_km=distance_b,
-        delta_km=delta_km,
-        lam=lam,
-        e_d=e_d,
-        method=method,
-        plob=plob,
-        plob_det=plob_det,
-    )
+    head = (total_km, distance_a, distance_b, delta_km, lam, e_d, method)
     if method == "PLOB":
-        return ResultRow(mu_a=None, mu_b=None, rate=plob, **base)
+        return ResultRow(*head, mu_a=None, mu_b=None, rate=plob, plob=plob, plob_det=plob_det)
+    if method not in METHODS:
+        raise SweepValidationError(f"unknown method {method!r}")
 
     if method == "AF":
         problem = OptimizationProblem(distance_b, 1.0, lam, params)
-        report = optimize_intensities(problem)
-    elif method == "OI":
-        problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
-        report = optimize_intensities(problem)
-    elif method == "fixed-intensity":
-        problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
-        report = None
     else:
-        raise SweepValidationError(f"unknown method {method!r}")
-
-    if report is not None:
-        mu_a, mu_b = report.mu_a_star, report.mu_b_star
-    else:
+        problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
+    if method == "fixed-intensity":
         mu_a, mu_b = mu_fixed
+    else:
+        report = optimize_intensities(problem)
+        mu_a, mu_b = report.mu_a_star, report.mu_b_star
     breakdown = key_rate(problem.scenario(mu_a, mu_b))
-    return ResultRow(
-        mu_a=mu_a,
-        mu_b=mu_b,
-        rate=breakdown.rate,
-        p=breakdown.p,
-        r_p=breakdown.r_p,
-        r_s=breakdown.r_s,
-        q_bar_11=breakdown.q_bar_11,
-        e_z=breakdown.e_z,
-        y_11=breakdown.y_11,
-        e_11=breakdown.e_11,
-        raw_rate=breakdown.raw_rate,
-        **base,
-    )
-
-
-# The builtin ``map`` or a process pool's ``map``.
-Mapper = Callable[..., Iterable[ResultRow]]
-
-
-def _table_rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
-    params = SystemParams()
-    if spec.mode == "table2":
-        cells = [(0.0, 1e6), (50.0, 1e6), (100.0, 1e6)]
-    elif spec.mode == "table3":
-        cells = [(0.0, 1.0), (50.0, 1.0), (100.0, 1.0)]
-    elif spec.mode == "table4":
-        cells = [(50.0, lam) for lam in LAMBDA_LADDER]
-    else:  # table5
-        cells = [(0.0, lam) for lam in LAMBDA_LADDER]
-    tasks = [
-        (200.0 + delta_km, delta_km, lam, params.e_d, "OI", None)
-        for delta_km, lam in cells
-    ]
-    return list(mapper(_evaluate_point, tasks))
+    return ResultRow(*head, mu_a, mu_b, plob=plob, plob_det=plob_det, **asdict(breakdown))
 
 
 def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
@@ -332,71 +281,60 @@ def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
     return totals
 
 
-def _figure_rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
-    params_e_d = SystemParams().e_d
-    if spec.mode == "fig3":
-        tasks = []
-        for lam in (1e6, 1.0):
-            for delta_km in range(0, 151, 10):
-                tasks.append((200.0 + delta_km, float(delta_km), lam, params_e_d, "OI", None))
-        return list(mapper(_evaluate_point, tasks))
-    if spec.mode in ("fig4", "fig5"):
-        lam = 1e6 if spec.mode == "fig4" else 1.0
-        curves = [(delta_km, lam, params_e_d) for delta_km in (0.0, 50.0, 100.0, 150.0)]
-        methods = ("OI", "AF", "PLOB")
-    elif spec.mode == "fig6":
-        curves = [(50.0, lam, params_e_d) for lam in LAMBDA_LADDER]
-        methods = ("OI", "PLOB")
-    else:  # fig7
-        curves = [
-            (delta_km, 1e6, e_d)
-            for e_d in (0.04, 0.12, 0.20)
-            for delta_km in (0.0, 50.0, 100.0)
-        ]
-        methods = ("OI", "PLOB")
-    rows: list[ResultRow] = []
-    for delta_km, lam, e_d in curves:
-        for total in _grid_totals(spec, delta_km):
-            point_rows = list(
-                mapper(_evaluate_point, [(total, delta_km, lam, e_d, m, None) for m in methods])
-            )
-            rows.extend(point_rows)
-            oi_rate = next(r.rate for r in point_rows if r.method == "OI")
-            if oi_rate < CURVE_CUTOFF:
-                break
-    return rows
+def _curves(spec: SweepSpec) -> list[list[list[tuple]]]:
+    """Expand a spec into curves of points, each point one ``_evaluate_point``
+    task per method.
 
-
-def _custom_rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
-    tasks = []
+    Tables, fig3 and custom are one curve holding all their points in row
+    order; fig4-fig7 have one curve per (gap, λ, e_d), over the distance grid.
+    """
+    if spec.mode in _FIGURE_CURVES:
+        curves, methods = _FIGURE_CURVES[spec.mode]
+        grids = [[(t, d, lam, e_d) for t in _grid_totals(spec, d)] for d, lam, e_d in curves]
+    elif spec.mode == "custom":
+        methods = spec.methods
+        combos = product(spec.delta_list, spec.lambda_list, spec.e_d_list)
+        grids = [[(t, d, lam, e_d) for d, lam, e_d in combos for t in _grid_totals(spec, d)]]
+    else:
+        methods = ("OI",)
+        grids = [[(200.0 + d, d, lam, _E_D) for d, lam in _PRESET_POINTS[spec.mode]]]
     mu_fixed = (spec.mu_a, spec.mu_b)
-    for delta_km in spec.delta_list:
-        for lam in spec.lambda_list:
-            for e_d in spec.e_d_list:
-                for total in _grid_totals(spec, delta_km):
-                    for method in spec.methods:
-                        tasks.append((total, delta_km, lam, e_d, method, mu_fixed))
-    return list(mapper(_evaluate_point, tasks))
+    return [[[(*point, m, mu_fixed) for m in methods] for point in grid] for grid in grids]
 
 
-def _rows(spec: SweepSpec, mapper: Mapper) -> list[ResultRow]:
-    if spec.mode.startswith("table"):
-        return _table_rows(spec, mapper)
-    if spec.mode.startswith("fig"):
-        return _figure_rows(spec, mapper)
-    return _custom_rows(spec, mapper)
+def _evaluate(spec: SweepSpec, mapper: Callable[..., Iterator[ResultRow]]) -> list[ResultRow]:
+    """Map each curve's tasks with one ``mapper`` call and collect the rows.
+
+    A figure curve stops after its first point whose OI rate is below
+    ``CURVE_CUTOFF``.  The builtin ``map`` is lazy, so no task past the
+    cutoff runs; a pool's ``map`` iterator is closed, which cancels the
+    tasks it has not started.
+    """
+    cut_off = spec.mode in _FIGURE_CURVES
+    rows: list[ResultRow] = []
+    for curve in _curves(spec):
+        results = mapper(_evaluate_point, [task for point in curve for task in point])
+        for point in curve:
+            point_rows = list(islice(results, len(point)))
+            rows.extend(point_rows)
+            if cut_off and next(r.rate for r in point_rows if r.method == "OI") < CURVE_CUTOFF:
+                break
+        if hasattr(results, "close"):
+            results.close()
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Expand and evaluate a sweep; writes the CSV when an output path is set.
 
-    With more than one worker the whole sweep runs on one process pool.
+    With more than one worker the whole sweep runs on one process pool,
+    which gets one curve per ``map`` call.
     """
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = _rows(spec, pool.map)
+            rows = _evaluate(spec, pool.map)
     else:
-        rows = _rows(spec, map)
+        rows = _evaluate(spec, map)
     if spec.out:
         write_rows(rows, spec.out)
     return rows
@@ -414,9 +352,7 @@ def _format(value: Any) -> str:
 
 def format_row(row: ResultRow) -> str:
     """One CSV line for a result row, in the fixed column order."""
-    return ",".join(
-        _format(getattr(row, "lam" if column == "lambda" else column)) for column in CSV_COLUMNS
-    )
+    return ",".join(_format(value) for value in astuple(row))
 
 
 def write_rows(rows: Iterable[ResultRow], path: str) -> None:

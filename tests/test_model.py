@@ -26,6 +26,7 @@ from mpqkd.model import (
     link_at,
     make_scenario,
     pairing_rate,
+    parse_pairing_interval,
     transmittance_from_distance,
     x_gain_and_phase_error,
 )
@@ -99,6 +100,17 @@ class TestParamsAndTypes:
     def test_scenario_rejects_bad_interval(self, lam):
         with pytest.raises(ValueError):
             make_scenario(100, 100, 0.5, 0.5, lam)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("inf", math.inf), ("Infinite", math.inf), ("INFINITY", math.inf), ("1e6", 1e6), (10, 10.0)],
+    )
+    def test_parse_pairing_interval(self, value, expected):
+        assert parse_pairing_interval(value) == expected
+
+    def test_parse_pairing_interval_rejects_words(self):
+        with pytest.raises(ValueError, match="cannot parse pairing interval 'abc'"):
+            parse_pairing_interval("abc")
 
     def test_scenario_rejects_bad_intensities(self):
         with pytest.raises(ValueError):

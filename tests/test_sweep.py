@@ -28,6 +28,8 @@ CUSTOM_BASE = {
     "e_d_list": [0.04],
     "methods": ["OI"],
 }
+# Four fig4 curves, each cut off before 600 km: 63 rows from 96 tasks.
+FIG4_CUTOFF = {"mode": "fig4", "distance_start": 250, "distance_stop": 600, "distance_step": 50}
 
 
 class TestSpecParsing:
@@ -64,6 +66,17 @@ class TestSpecParsing:
     def test_fixed_intensity_needs_mu(self):
         with pytest.raises(SweepValidationError, match="mu_a/mu_b"):
             load_spec({**CUSTOM_BASE, "methods": ["fixed-intensity"]})
+
+    @pytest.mark.parametrize("name, value", [("mu_a", 1.5), ("mu_b", 0.0), ("mu_a", -0.2)])
+    def test_fixed_intensity_out_of_range_rejected(self, name, value):
+        spec = {**CUSTOM_BASE, "methods": ["fixed-intensity"], "mu_a": 0.3, "mu_b": 0.7}
+        with pytest.raises(SweepValidationError, match=rf"{name}: intensity must be in \(0, 1\]"):
+            load_spec({**spec, name: value})
+
+    def test_preset_rejects_reversed_grid(self):
+        with pytest.raises(SweepValidationError, match="distance grid: stop must be >= start"):
+            load_spec({"mode": "fig4", "distance_start": 400, "distance_stop": 200})
+        assert load_spec({"mode": "fig4", "distance_start": 400}).distance_stop is None
 
     def test_preset_rejects_parameter_overrides(self):
         with pytest.raises(SweepValidationError, match="not overridable"):
@@ -122,6 +135,10 @@ class TestRunSweep:
         out = tmp_path / "rows.csv"
         run_sweep(load_spec({**CUSTOM_BASE, "out": str(out)}))
         lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "total_km,distance_a_km,distance_b_km,delta_km,lambda,e_d,method,mu_a,mu_b,"
+            "rate,plob,plob_det,p,r_p,r_s,q_bar_11,e_z,y_11,e_11,raw_rate"
+        )
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
@@ -151,6 +168,41 @@ class TestRunSweep:
         assert starts == [2]
         assert len(parallel) == 36  # 4 curves x 3 totals x (OI, AF, PLOB)
         assert parallel == sequential
+
+    def test_cut_off_curves_agree_across_workers(self):
+        sequential = run_sweep(load_spec(FIG4_CUTOFF))
+        assert len(sequential) == 63
+        assert {r.delta_km for r in sequential} == {0.0, 50.0, 100.0, 150.0}
+        assert max(r.total_km for r in sequential) < 600.0
+        assert run_sweep(load_spec({**FIG4_CUTOFF, "workers": 2})) == sequential
+
+    def test_serial_path_evaluates_only_returned_rows(self, monkeypatch):
+        calls = []
+        evaluate = mpqkd.sweep._evaluate_point
+
+        def counting(task):
+            calls.append(task)
+            return evaluate(task)
+
+        monkeypatch.setattr(mpqkd.sweep, "_evaluate_point", counting)
+        rows = run_sweep(load_spec(FIG4_CUTOFF))
+        assert len(calls) == len(rows) == 63
+
+    def test_pool_maps_one_curve_per_call(self, monkeypatch):
+        maps = []
+
+        class CountingPool(mpqkd.sweep.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                maps.append((len(tasks), super().map(fn, tasks, **kwargs)))
+                return maps[-1][1]
+
+        monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", CountingPool)
+        rows = run_sweep(load_spec({**FIG4_CUTOFF, "workers": 2}))
+        assert len(rows) == 63
+        assert [n_tasks for n_tasks, _ in maps] == [24, 24, 24, 24]
+        # Every curve stops early, the last one included. Its result iterator
+        # is closed there, which cancels the tasks the pool has not started.
+        assert all(results.gi_frame is None for _, results in maps)
 
     def test_fig3_intensity_curves(self):
         rows = run_sweep(load_spec({"mode": "fig3"}))
@@ -254,6 +306,10 @@ class TestCli:
         assert main(["verify", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_optimize_rejects_unparsable_interval(self, capsys):
+        assert main(["optimize", "--la", "100", "--delta", "1", "--lambda", "abc"]) == 1
+        assert "cannot parse pairing interval 'abc'" in capsys.readouterr().err
 
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
