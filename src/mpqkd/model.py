@@ -32,12 +32,10 @@ import numpy as np
 __all__ = [
     "ModelDegenerateError",
     "SystemParams",
-    "Link",
     "Scenario",
     "KeyRateBreakdown",
     "transmittance_from_distance",
     "distance_from_transmittance",
-    "link_at",
     "make_scenario",
     "is_pairing_interval",
     "parse_pairing_interval",
@@ -50,10 +48,6 @@ __all__ = [
     "key_rate_grid",
     "linearized_key_rate",
 ]
-
-# Relative tolerance for the distance/transmittance consistency check of Link.
-_LINK_RTOL = 1e-9
-
 
 class ModelDegenerateError(ValueError):
     """A requested ratio is undefined because its conditioning event has
@@ -92,20 +86,6 @@ class SystemParams:
             raise ValueError(f"vacuum error probability is fixed at 0.5, got {self.e_0}")
 
 
-@dataclass(frozen=True)
-class Link:
-    """One fiber arm: its length and total transmittance (detector included)."""
-
-    distance_km: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if self.distance_km < 0.0:
-            raise ValueError(f"distance must be >= 0 km, got {self.distance_km}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"transmittance must be in (0, 1], got {self.eta}")
-
-
 def transmittance_from_distance(distance_km: float, params: SystemParams) -> float:
     """Total one-arm transmittance eta_d * 10**(-alpha*L/10) at fiber length L."""
     if distance_km < 0.0:
@@ -119,11 +99,6 @@ def distance_from_transmittance(eta: float, params: SystemParams) -> float:
     if eta <= 0.0 or eta > params.eta_d:
         raise ValueError(f"transmittance must be in (0, eta_d={params.eta_d}], got {eta}")
     return 10.0 * math.log10(params.eta_d / eta) / params.alpha
-
-
-def link_at(distance_km: float, params: SystemParams) -> Link:
-    """Construct a consistent Link at the given fiber length."""
-    return Link(distance_km, transmittance_from_distance(distance_km, params))
 
 
 def is_pairing_interval(lam: float) -> bool:
@@ -145,16 +120,17 @@ def parse_pairing_interval(value: str | float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full protocol operating point: two arms, pulse intensities, decoy
-    intensities and the maximal pairing interval.
+    """A full protocol operating point: the two arm transmittances (detector
+    included), pulse intensities, decoy intensities and the maximal pairing
+    interval.
 
     The usual convention puts the shorter arm on side a (delta >= 1); it is
     not enforced here because every model quantity is symmetric under
     swapping the arms together with their intensities.
     """
 
-    link_a: Link
-    link_b: Link
+    eta_a: float
+    eta_b: float
     mu_a: float
     mu_b: float
     lam: float
@@ -171,21 +147,9 @@ class Scenario:
                 raise ValueError(f"{name} must be in [0, {name.replace('nu', 'mu')}), got {nu}")
         if not is_pairing_interval(self.lam):
             raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
-        for link in (self.link_a, self.link_b):
-            expected = transmittance_from_distance(link.distance_km, self.params)
-            if abs(link.eta - expected) > _LINK_RTOL * expected:
-                raise ValueError(
-                    f"link at {link.distance_km} km has eta={link.eta}, "
-                    f"inconsistent with params (expected {expected})"
-                )
-
-    @property
-    def eta_a(self) -> float:
-        return self.link_a.eta
-
-    @property
-    def eta_b(self) -> float:
-        return self.link_b.eta
+        for name, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
+            if not 0.0 < eta <= self.params.eta_d:
+                raise ValueError(f"{name} must be in (0, eta_d={self.params.eta_d}], got {eta}")
 
 
 def make_scenario(
@@ -201,8 +165,8 @@ def make_scenario(
     """Build a Scenario from arm lengths, deriving the transmittances."""
     params = params if params is not None else SystemParams()
     return Scenario(
-        link_a=link_at(distance_a_km, params),
-        link_b=link_at(distance_b_km, params),
+        eta_a=transmittance_from_distance(distance_a_km, params),
+        eta_b=transmittance_from_distance(distance_b_km, params),
         mu_a=mu_a,
         mu_b=mu_b,
         lam=lam,

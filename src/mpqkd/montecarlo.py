@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, is_pairing_interval
 
 __all__ = [
     "Rounds",
@@ -165,8 +165,8 @@ def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
     starts with its first click pending, so greedy pairing takes the gaps
     at even offsets from the run start and skips the odd ones.
     """
-    if not (lam == math.inf or lam >= 1):
-        raise ValueError(f"pairing interval must be >= 1 or inf, got {lam}")
+    if not is_pairing_interval(lam):
+        raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {lam}")
     clicks = np.flatnonzero(rounds.clicked)
     short = np.diff(clicks) <= lam
     gap = np.arange(short.size)

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import (
-    Link,
     Scenario,
     SystemParams,
     distance_from_transmittance,
@@ -77,15 +76,7 @@ class OptimizationProblem:
 
     def scenario(self, mu_a: float, mu_b: float) -> Scenario:
         eta_a = transmittance_from_distance(self.distance_a_km, self.params)
-        eta_b = eta_a / self.delta
-        return Scenario(
-            link_a=Link(self.distance_a_km, eta_a),
-            link_b=Link(self.distance_b_km(), eta_b),
-            mu_a=mu_a,
-            mu_b=mu_b,
-            lam=self.lam,
-            params=self.params,
-        )
+        return Scenario(eta_a, eta_a / self.delta, mu_a, mu_b, self.lam, self.params)
 
     def rate(self, mu_a: float, mu_b: float) -> float:
         scenario = self.scenario(mu_a, mu_b)
@@ -157,11 +148,10 @@ def _newton_polish(
             break
         g = _fd_gradient(rate, x, h)
         hess = np.zeros((2, 2))
-        f0 = rate(x[0], x[1])
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            hess[k, k] = (rate(*(x + e)) + rate(*(x - e)) - 2.0 * f0) / (h * h)
+            hess[k, k] = (rate(*(x + e)) + rate(*(x - e)) - 2.0 * fx) / (h * h)
         e_ab = np.array([h, h])
         cross = (
             rate(*(x + e_ab)) - rate(x[0] + h, x[1] - h) - rate(x[0] - h, x[1] + h) + rate(*(x - e_ab))

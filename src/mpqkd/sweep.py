@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import islice, product
 from typing import Any, Callable, Iterable, Iterator
 
@@ -28,13 +28,7 @@ from .decoy import (
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
-from .model import (
-    SystemParams,
-    is_pairing_interval,
-    key_rate,
-    make_scenario,
-    parse_pairing_interval,
-)
+from .model import SystemParams, is_pairing_interval, key_rate, parse_pairing_interval
 from .montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from .optimize import OptimizationProblem, optimize_intensities, plob_bound
 
@@ -270,6 +264,7 @@ def _evaluate_point(task: tuple) -> ResultRow:
 
 
 def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
+    """Total distances of the grid at one gap; an empty grid is an error."""
     start = spec.distance_start if spec.distance_start is not None else delta_km + 10.0
     stop = spec.distance_stop if spec.distance_stop is not None else MAX_TOTAL_KM
     step = spec.distance_step if spec.distance_step is not None else 5.0
@@ -278,6 +273,11 @@ def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
     while total <= stop + 1e-9:
         totals.append(total)
         total += step
+    if not totals:
+        raise SweepValidationError(
+            f"distance grid: no total in [{start:g}, {stop:g}] km fits gap {delta_km:g} km "
+            "(a total must be >= gap + 2 km)"
+        )
     return totals
 
 
@@ -366,17 +366,12 @@ def write_rows(rows: Iterable[ResultRow], path: str) -> None:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 
 
-def _verification_points(spec: SweepSpec, limit: int = 2) -> list[tuple[float, float, float]]:
-    """(total_km, delta_km, lam) points the verification harness exercises."""
+def _verification_points(spec: SweepSpec) -> list[tuple[float, float, float]]:
+    """(total_km, delta_km, lam) points the verification harness exercises:
+    the first total of the grid at each of the first two gaps."""
     deltas = spec.delta_list or (0.0,)
-    lams = spec.lambda_list or (100.0,)
-    points = []
-    for delta_km in deltas[:limit]:
-        totals = _grid_totals(spec, delta_km)
-        points.append((totals[0], delta_km, lams[0]))
-        if len(points) >= limit:
-            break
-    return points
+    lam = (spec.lambda_list or (100.0,))[0]
+    return [(_grid_totals(spec, delta_km)[0], delta_km, lam) for delta_km in deltas[:2]]
 
 
 def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
@@ -388,7 +383,7 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
     """
     report: list[dict[str, Any]] = []
     for point_index, (total, delta_km, lam) in enumerate(_verification_points(spec)):
-        params = SystemParams(e_d=spec.e_d_list[0] if spec.e_d_list else 0.04)
+        params = SystemParams(e_d=spec.e_d_list[0] if spec.e_d_list else _E_D)
         distance_a = (total - delta_km) / 2.0
         problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
         optimum = optimize_intensities(problem)
@@ -424,16 +419,7 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
                 }
             )
 
-        decoy_scenario = make_scenario(
-            scenario.link_a.distance_km,
-            scenario.link_b.distance_km,
-            scenario.mu_a,
-            scenario.mu_b,
-            scenario.lam,
-            params,
-            nu_a=scenario.mu_a / 5.0,
-            nu_b=scenario.mu_b / 5.0,
-        )
+        decoy_scenario = replace(scenario, nu_a=scenario.mu_a / 5.0, nu_b=scenario.mu_b / 5.0)
         config = decoy_config_for(decoy_scenario)
         bounds = bound_single_photon(
             expected_observables(decoy_scenario, config), config

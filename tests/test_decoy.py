@@ -2,6 +2,7 @@
 import functools
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -435,12 +436,8 @@ class TestBounds:
                 rng.uniform(0.15, 0.9),
                 1e6,
             )
-            sc = make_scenario(
-                sc.link_a.distance_km,
-                sc.link_b.distance_km,
-                sc.mu_a,
-                sc.mu_b,
-                1e6,
+            sc = replace(
+                sc,
                 nu_a=sc.mu_a * rng.uniform(0.08, 0.4),
                 nu_b=sc.mu_b * rng.uniform(0.08, 0.4),
             )

@@ -12,7 +12,6 @@ import mpqkd
 from mpqkd.decoy import single_photon_z_yield
 from mpqkd.model import (
     KeyRateBreakdown,
-    Link,
     ModelDegenerateError,
     Scenario,
     SystemParams,
@@ -23,7 +22,6 @@ from mpqkd.model import (
     key_rate,
     key_rate_grid,
     linearized_key_rate,
-    link_at,
     make_scenario,
     pairing_rate,
     parse_pairing_interval,
@@ -44,15 +42,8 @@ def scenario_at(
 
 
 def scenario_with_etas(eta_a, eta_b, mu_a, mu_b, lam=1e6, params=NO_DARK) -> Scenario:
-    """Scenario built directly from transmittances (distances derived)."""
-    return Scenario(
-        link_a=Link(distance_from_transmittance(eta_a, params), eta_a),
-        link_b=Link(distance_from_transmittance(eta_b, params), eta_b),
-        mu_a=mu_a,
-        mu_b=mu_b,
-        lam=lam,
-        params=params,
-    )
+    """Scenario built directly from transmittances."""
+    return Scenario(eta_a, eta_b, mu_a, mu_b, lam, params)
 
 
 def selector_clicks(sc: Scenario) -> tuple[float, float, float, float]:
@@ -92,9 +83,13 @@ class TestParamsAndTypes:
         for name in mpqkd.__all__:
             assert getattr(mpqkd, name) is not None, name
 
-    def test_scenario_rejects_inconsistent_link(self):
-        with pytest.raises(ValueError):
-            Scenario(Link(100.0, 0.01), link_at(100.0, PARAMS), 0.5, 0.5, 1e6, PARAMS)
+    def test_scenario_rejects_bad_transmittance(self):
+        for eta in (0.0, -0.01, 0.3):  # 0.3 exceeds the default eta_d = 0.2
+            for etas in ((eta, 0.01), (0.01, eta)):
+                with pytest.raises(ValueError, match=r"eta_[ab] must be in \(0, eta_d=0.2\]"):
+                    Scenario(*etas, 0.5, 0.5, 1e6, PARAMS)
+        lossless = Scenario(1.0, 1.0, 0.5, 0.5, 1e6, SystemParams(eta_d=1.0))
+        assert (lossless.eta_a, lossless.eta_b) == (1.0, 1.0)
 
     @pytest.mark.parametrize("lam", [0, 0.5, 2.5, -3])
     def test_scenario_rejects_bad_interval(self, lam):

@@ -283,6 +283,33 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 1
         assert f"validation error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("run", {"mode": "fig4", "distance_start": 700}),
+            ("run", {**CUSTOM_BASE, "distance_start": 100, "distance_stop": 200,
+                     "delta_list": [300]}),
+            ("run", {**CUSTOM_BASE, "distance_start": 100, "distance_stop": 200,
+                     "delta_list": [0, 300]}),
+            ("verify", {**CUSTOM_BASE, "distance_start": 100, "distance_stop": 200,
+                        "delta_list": [300]}),
+        ],
+        ids=["fig4-past-stop", "custom-gap-too-wide", "custom-one-gap-too-wide", "verify"],
+    )
+    def test_empty_distance_grid_is_a_validation_error(
+        self, tmp_path, capsys, monkeypatch, command, spec
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(mpqkd.sweep, "optimize_intensities", unreachable)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(spec))
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: distance grid: no total in" in captured.err
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(
