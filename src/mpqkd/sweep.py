@@ -28,7 +28,13 @@ from .decoy import (
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
-from .model import SystemParams, is_pairing_interval, key_rate, parse_pairing_interval
+from .model import (
+    Scenario,
+    SystemParams,
+    is_pairing_interval,
+    key_rate,
+    parse_pairing_interval,
+)
 from .montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from .optimize import OptimizationProblem, optimize_intensities, plob_bound
 
@@ -368,10 +374,42 @@ def write_rows(rows: Iterable[ResultRow], path: str) -> None:
 
 def _verification_points(spec: SweepSpec) -> list[tuple[float, float, float]]:
     """(total_km, delta_km, lam) points the verification harness exercises:
-    the first total of the grid at each of the first two gaps."""
+    the first total of the grid at each of the first two gaps.  Every gap's
+    grid is validated first, as ``run`` does, so no point is evaluated for a
+    spec that ``run`` rejects."""
     deltas = spec.delta_list or (0.0,)
     lam = (spec.lambda_list or (100.0,))[0]
-    return [(_grid_totals(spec, delta_km)[0], delta_km, lam) for delta_km in deltas[:2]]
+    firsts = [_grid_totals(spec, delta_km)[0] for delta_km in deltas]
+    return [(total, delta_km, lam) for total, delta_km in zip(firsts[:2], deltas)]
+
+
+def _check(label: str, name: str, passed: bool, deviation: float) -> dict[str, Any]:
+    return {"check": f"{label}:{name}", "passed": passed, "deviation": deviation}
+
+
+def _monte_carlo_checks(
+    scenario: Scenario, spec: SweepSpec, stream: int, label: str
+) -> list[dict[str, Any]]:
+    """Simulate, pair, sift and compare p, r_p, r_s (and e_z when p_d = 0)
+    with the analytic model.  The round and pair columns are freed on return,
+    so only one point's columns are alive at a time."""
+    rounds = simulate_rounds(scenario, spec.n_rounds, spec.seed, stream=stream)
+    pairs = sift_and_map(rounds, pair_clicks(rounds, scenario.lam), scenario, seed=spec.seed)
+    stats = estimate_statistics(pairs, rounds)
+    reference = key_rate(scenario)
+    report = []
+    for name, estimate in (("p", stats.p_hat), ("r_p", stats.r_p_hat), ("r_s", stats.r_s_hat)):
+        if estimate is None:
+            report.append(_check(label, name, False, math.inf))
+            continue
+        ref = getattr(reference, name)
+        band = 3.0 * math.sqrt(max(ref * (1.0 - ref), 1e-300) / estimate.denominator)
+        deviation = abs(estimate.value - ref)
+        report.append(_check(label, name, deviation <= band, deviation))
+    if scenario.params.p_d == 0.0 and stats.e_z_hat is not None:
+        e_z = stats.e_z_hat.value
+        report.append(_check(label, "e_z_zero", e_z == 0.0, e_z))
+    return report
 
 
 def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
@@ -379,70 +417,31 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
     the decoy bounds at selected grid points.
 
     Statistical checks compare within 3 reference standard errors; failures
-    are reported, not raised.
+    are reported, not raised.  Point k simulates on stream k of the seed.
     """
+    params = SystemParams(e_d=spec.e_d_list[0] if spec.e_d_list else _E_D)
     report: list[dict[str, Any]] = []
     for point_index, (total, delta_km, lam) in enumerate(_verification_points(spec)):
-        params = SystemParams(e_d=spec.e_d_list[0] if spec.e_d_list else _E_D)
         distance_a = (total - delta_km) / 2.0
         problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
         optimum = optimize_intensities(problem)
         scenario = problem.scenario(optimum.mu_a_star, optimum.mu_b_star)
         label = f"point{point_index}(total={total:g},gap={delta_km:g},lam={lam:g})"
-
-        rounds = simulate_rounds(scenario, spec.n_rounds, spec.seed, stream=point_index)
-        pairs = sift_and_map(rounds, pair_clicks(rounds, scenario.lam), scenario, seed=spec.seed)
-        stats = estimate_statistics(pairs, rounds)
-        reference = key_rate(scenario)
-        for name, estimate in (
-            ("p", stats.p_hat),
-            ("r_p", stats.r_p_hat),
-            ("r_s", stats.r_s_hat),
-        ):
-            if estimate is None:
-                report.append(
-                    {"check": f"{label}:{name}", "passed": False, "deviation": math.inf}
-                )
-                continue
-            ref = getattr(reference, name)
-            band = 3.0 * math.sqrt(max(ref * (1.0 - ref), 1e-300) / estimate.denominator)
-            deviation = abs(estimate.value - ref)
-            report.append(
-                {"check": f"{label}:{name}", "passed": deviation <= band, "deviation": deviation}
-            )
-        if scenario.params.p_d == 0.0 and stats.e_z_hat is not None:
-            report.append(
-                {
-                    "check": f"{label}:e_z_zero",
-                    "passed": stats.e_z_hat.value == 0.0,
-                    "deviation": stats.e_z_hat.value,
-                }
-            )
+        report += _monte_carlo_checks(scenario, spec, point_index, label)
 
         decoy_scenario = replace(scenario, nu_a=scenario.mu_a / 5.0, nu_b=scenario.mu_b / 5.0)
         config = decoy_config_for(decoy_scenario)
-        bounds = bound_single_photon(
-            expected_observables(decoy_scenario, config), config
-        )
+        bounds = bound_single_photon(expected_observables(decoy_scenario, config), config)
         true_m = single_photon_z_yield(decoy_scenario)
         true_e = single_photon_z_error_yield(decoy_scenario)
         breakdown = key_rate(decoy_scenario)
-        decoy_rate = decoy_key_rate(
-            bounds, breakdown.r_p * breakdown.r_s, breakdown.e_z, params
+        decoy_rate = decoy_key_rate(bounds, breakdown.r_p * breakdown.r_s, breakdown.e_z, params)
+        bracketed = (
+            bounds.m_z_11_lower <= true_m * (1 + 1e-9)
+            and bounds.e_z_11_upper >= true_e * (1 - 1e-9)
         )
-        report.append(
-            {
-                "check": f"{label}:decoy_bracket",
-                "passed": bounds.m_z_11_lower <= true_m * (1 + 1e-9)
-                and bounds.e_z_11_upper >= true_e * (1 - 1e-9),
-                "deviation": max(bounds.m_z_11_lower - true_m, true_e - bounds.e_z_11_upper),
-            }
-        )
-        report.append(
-            {
-                "check": f"{label}:decoy_rate_bounded",
-                "passed": decoy_rate <= breakdown.rate + 1e-12,
-                "deviation": decoy_rate - breakdown.rate,
-            }
-        )
+        deviation = max(bounds.m_z_11_lower - true_m, true_e - bounds.e_z_11_upper)
+        report.append(_check(label, "decoy_bracket", bracketed, deviation))
+        bounded = decoy_rate <= breakdown.rate + 1e-12
+        report.append(_check(label, "decoy_rate_bounded", bounded, decoy_rate - breakdown.rate))
     return report

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo protocol oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mpqkd.model import SystemParams, key_rate, make_scenario, pairing_rate
 from mpqkd.montecarlo import (
     BASES,
+    PHASE_SLICES,
     UNSET,
     EmpiricalStats,
     Rounds,
@@ -20,6 +22,70 @@ from mpqkd.montecarlo import (
 )
 
 NO_DARK = SystemParams(p_d=0.0)
+ROUND_COLUMNS = ("z_a", "z_b", "n_a", "n_b", "clicked", "detector", "phase_a", "phase_b")
+
+
+def oracle_simulate_rounds(scenario, n_rounds: int, seed: int, stream: int = 0) -> Rounds:
+    """Reference: the full-length-array simulate_rounds that the blockwise,
+    temporary-free version replaced; it makes the same generator calls."""
+    if n_rounds < 1:
+        raise ValueError(f"need at least one round, got {n_rounds}")
+    bit_gen = np.random.Philox(seed)
+    if stream:
+        bit_gen = bit_gen.jumped(stream)
+    rng = np.random.Generator(bit_gen)
+
+    z_a = rng.integers(0, 2, n_rounds, dtype=np.uint8)
+    z_b = rng.integers(0, 2, n_rounds, dtype=np.uint8)
+
+    n_a = np.zeros(n_rounds, dtype=np.int16)
+    n_b = np.zeros(n_rounds, dtype=np.int16)
+    signal_a = np.flatnonzero(z_a)
+    signal_b = np.flatnonzero(z_b)
+    n_a[signal_a] = rng.poisson(scenario.mu_a, signal_a.size)
+    n_b[signal_b] = rng.poisson(scenario.mu_b, signal_b.size)
+
+    survived_a = np.zeros(n_rounds, dtype=np.int16)
+    survived_b = np.zeros(n_rounds, dtype=np.int16)
+    carrying_a = np.flatnonzero(n_a)
+    carrying_b = np.flatnonzero(n_b)
+    survived_a[carrying_a] = rng.binomial(n_a[carrying_a], scenario.eta_a)
+    survived_b[carrying_b] = rng.binomial(n_b[carrying_b], scenario.eta_b)
+
+    photon_port = rng.integers(0, 2, n_rounds, dtype=np.uint8)
+    p_d = scenario.params.p_d
+    dark_l = rng.random(n_rounds) < p_d
+    dark_r = rng.random(n_rounds) < p_d
+
+    got_photon = (survived_a + survived_b) > 0
+    fired_l = (got_photon & (photon_port == 0)) | dark_l
+    fired_r = (got_photon & (photon_port == 1)) | dark_r
+    clicked = fired_l ^ fired_r
+    detector = np.where(fired_r, np.uint8(1), np.uint8(0))
+
+    phase_a = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
+    phase_b = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
+
+    return Rounds(
+        z_a=z_a,
+        z_b=z_b,
+        n_a=n_a,
+        n_b=n_b,
+        clicked=clicked,
+        detector=detector,
+        phase_a=phase_a,
+        phase_b=phase_b,
+    )
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees numpy and Python allocate during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def synthetic_rounds(n: int, clicked_at=(), **column_overrides) -> Rounds:
@@ -96,7 +162,7 @@ class TestSimulateRounds:
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
         a = simulate_rounds(sc, 50_000, seed=7)
         b = simulate_rounds(sc, 50_000, seed=7)
-        for name in ("z_a", "z_b", "n_a", "n_b", "clicked", "detector", "phase_a", "phase_b"):
+        for name in ROUND_COLUMNS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_streams_differ(self):
@@ -130,6 +196,60 @@ class TestSimulateRounds:
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         with pytest.raises(ValueError):
             simulate_rounds(sc, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "n_rounds, stream, name",
+        [
+            (2.5, 0, "n_rounds"),
+            (1000.0, 0, "n_rounds"),
+            (True, 0, "n_rounds"),
+            (1000, -1, "stream"),
+            (1000, 1.5, "stream"),
+            (1000, 2.0, "stream"),
+            (1000, True, "stream"),
+        ],
+    )
+    def test_rejects_bad_round_count_or_stream(self, n_rounds, stream, name):
+        sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
+        with pytest.raises(ValueError, match=name):
+            simulate_rounds(sc, n_rounds, seed=1, stream=stream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rounds=st.one_of(
+            st.sampled_from([1, 2, 65_535, 65_536, 65_537, 131_072]),
+            st.integers(1, 200_000),
+        ),
+        p_d=st.sampled_from([0.0, 1.2e-8, 1e-4, 1e-2, 0.3]),
+        lossless=st.booleans(),
+        distance_b=st.floats(0.0, 100.0),
+        mu_a=st.floats(0.0, 1.0, exclude_min=True),
+        mu_b=st.floats(0.0, 1.0, exclude_min=True),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.sampled_from([0, 3]),
+    )
+    def test_matches_full_length_oracle(
+        self, n_rounds, p_d, lossless, distance_b, mu_a, mu_b, seed, stream
+    ):
+        # a lossless arm is eta = 1: a perfect detector at 0 km
+        if lossless:
+            sc = make_scenario(0.0, distance_b, mu_a, mu_b, 100, SystemParams(eta_d=1.0, p_d=p_d))
+        else:
+            sc = make_scenario(10.0, distance_b, mu_a, mu_b, 100, SystemParams(p_d=p_d))
+        got = simulate_rounds(sc, n_rounds, seed, stream)
+        want = oracle_simulate_rounds(sc, n_rounds, seed, stream)
+        for name in ROUND_COLUMNS:
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected), name
+
+    def test_peak_memory(self):
+        # 2e6 rounds keep 20 MB of columns (10 B/round); the transient peak
+        # is one party's signal indices and Poisson draws on top (28.0 MB in
+        # all).  The full-length version peaked at 64.3 MB.
+        sc = make_scenario(10.0, 10.0, 0.5, 0.5, 100)
+        peak = traced_peak(lambda: simulate_rounds(sc, 2_000_000, seed=1))
+        assert peak <= 32e6
 
 
 class TestPairClicks:

@@ -1,13 +1,17 @@
 """Tests for the sweep runner, spec parsing, CSV emission and the CLI."""
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import mpqkd.sweep
 from mpqkd.cli import main
+from mpqkd.model import make_scenario
+from mpqkd.montecarlo import simulate_rounds
 from mpqkd.sweep import (
     CSV_COLUMNS,
     SweepSpec,
@@ -30,6 +34,16 @@ CUSTOM_BASE = {
 }
 # Four fig4 curves, each cut off before 600 km: 63 rows from 96 tasks.
 FIG4_CUTOFF = {"mode": "fig4", "distance_start": 250, "distance_stop": 600, "distance_step": 50}
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees numpy and Python allocate during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSpecParsing:
@@ -233,6 +247,25 @@ class TestVerifyOracles:
         assert {"p", "r_p", "r_s", "decoy_bracket", "decoy_rate_bounded"} <= names
         assert all(entry["passed"] for entry in report)
 
+    def test_one_point_of_columns_alive_at_a_time(self):
+        # Two points of 1e6 rounds each.  Point 0's columns (10 MB) are
+        # freed before point 1 simulates, so the whole run peaks where one
+        # simulate_rounds call does (measured: within 0.1 MB of it).
+        spec = {
+            **CUSTOM_BASE,
+            "distance_start": 20,
+            "distance_stop": 20,
+            "delta_list": [0, 10],
+            "seed": 1,
+        }
+        verify_oracles(load_spec({**spec, "n_rounds": 1_000}))  # first-call allocations
+        sc = make_scenario(10.0, 10.0, 0.5, 0.5, 100)
+        one_point = traced_peak(lambda: simulate_rounds(sc, 1_000_000, seed=1))
+        two_points = traced_peak(
+            lambda: verify_oracles(load_spec({**spec, "n_rounds": 1_000_000}))
+        )
+        assert two_points <= one_point + 2e6
+
 
 class TestCli:
     def test_optimize_prints_json(self, capsys):
@@ -293,8 +326,11 @@ class TestCli:
                      "delta_list": [0, 300]}),
             ("verify", {**CUSTOM_BASE, "distance_start": 100, "distance_stop": 200,
                         "delta_list": [300]}),
+            ("verify", {**CUSTOM_BASE, "distance_start": 100, "distance_stop": 200,
+                        "delta_list": [0, 10, 300]}),
         ],
-        ids=["fig4-past-stop", "custom-gap-too-wide", "custom-one-gap-too-wide", "verify"],
+        ids=["fig4-past-stop", "custom-gap-too-wide", "custom-one-gap-too-wide", "verify",
+             "verify-third-gap-too-wide"],
     )
     def test_empty_distance_grid_is_a_validation_error(
         self, tmp_path, capsys, monkeypatch, command, spec
@@ -339,10 +375,15 @@ class TestCli:
         assert "cannot parse pairing interval 'abc'" in capsys.readouterr().err
 
     def test_installed_entry_point(self, tmp_path):
+        # the child finds the package this process imported, installed or not
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(mpqkd.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "mpqkd.cli", "optimize", "--la", "50", "--delta", "4", "--lambda", "1"],
             capture_output=True,
             text=True,
+            env=env,
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["rate"] > 0
