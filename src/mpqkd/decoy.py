@@ -28,7 +28,11 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+
+# scipy's own HiGHS bindings (scipy >= 1.15).  A private module, imported here
+# so that a scipy without it fails at import, not in the middle of a sweep.
+from scipy.optimize._highspy import _core
 
 from .model import (
     Scenario,
@@ -63,6 +67,24 @@ _K_MAX = 20
 # product rounds like the integer one.
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(_K_MAX + 1)])
 _FACTORIAL_PAIRS = np.multiply.outer(_FACTORIALS, _FACTORIALS)
+# The options scipy's linprog(method="highs") sets when given no others.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "highs_debug_level": _core.HighsDebugLevel.kHighsDebugLevelNone,
+    "log_to_console": False,
+    "output_flag": False,
+    "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+}
+# linprog's status codes; every other HiGHS model status maps to 4.
+_MODEL_STATUS = _core.HighsModelStatus
+_LINPROG_STATUS = {
+    _MODEL_STATUS.kOptimal: 0,
+    _MODEL_STATUS.kTimeLimit: 1,
+    _MODEL_STATUS.kIterationLimit: 1,
+    _MODEL_STATUS.kInfeasible: 2,
+    _MODEL_STATUS.kModelError: 2,
+    _MODEL_STATUS.kUnbounded: 3,
+}
 
 
 class ObservablesInconsistentError(RuntimeError):
@@ -298,6 +320,59 @@ class DecoyBounds:
     phase_error_upper: float | None
 
 
+def linprog(
+    c: np.ndarray,
+    A_ub: sparse.csc_matrix,
+    b_ub: np.ndarray,
+    bounds: np.ndarray,
+    options: Mapping[str, object] | None = None,
+) -> OptimizeResult:
+    """``scipy.optimize.linprog(method="highs")`` for inequality rows and box
+    bounds only, run on scipy's HiGHS core.
+
+    HiGHS receives the model and options that linprog would give it:
+    ``A_ub`` is a canonical CSC matrix (sorted row indices, no duplicates),
+    as linprog's ``tocsc`` makes it, and ``bounds`` is an (n, 2) array.
+    ``options`` are set on top of linprog's defaults.  What linprog adds
+    around the solve is skipped: input and option validation, the per-column
+    bound marginals and the re-check of the returned solution.  The result
+    holds ``x`` (None unless optimal), linprog's ``status`` code,
+    ``success`` and ``message``.
+    """
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    # The matrix fields copy element by element; from a list that is twice
+    # as fast as from an array, and HiGHS gets the same numbers.
+    lp.a_matrix_.start_ = A_ub.indptr.tolist()
+    lp.a_matrix_.index_ = A_ub.indices.tolist()
+    lp.a_matrix_.value_ = A_ub.data.tolist()
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = bounds.T
+    lp.row_lower_ = np.full(len(b_ub), -_core.kHighsInf)
+    lp.row_upper_ = b_ub
+
+    highs_options = _core.HighsOptions()
+    for key, value in {**_HIGHS_OPTIONS, **(options or {})}.items():
+        setattr(highs_options, key, value)
+    highs = _core._Highs()
+    if highs.passOptions(highs_options) == _core.HighsStatus.kError:
+        model_status = highs.getModelStatus()
+    elif highs.passModel(lp) == _core.HighsStatus.kError:
+        model_status = _MODEL_STATUS.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    optimal = model_status == _MODEL_STATUS.kOptimal
+    return OptimizeResult(
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        status=_LINPROG_STATUS.get(model_status, 4),
+        success=optimal,
+        message=highs.modelStatusToString(model_status),
+    )
+
+
 def _solve_basis_lp(
     settings: list[PairIntensityVector],
     totals: Mapping[PairIntensityVector, float],
@@ -314,15 +389,18 @@ def _solve_basis_lp(
     The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
     per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
     the last bit in ~3% of them, which moves the bounds by up to 1.5e-10
-    relative.  The constraint matrix is built once, as sparse blocks, for
-    both solves.  Its rows stay in the order +m, -m, +e, -e per setting, then
-    e_k <= m_k: HiGHS's path depends on the row order, and grouping all "+"
-    rows before all "-" rows moved the bounds by up to 1.2e-4 relative.
+    relative.  The constraint matrix is built once, straight from the
+    nonzero weights as CSC arrays, for both solves.  Its rows stay in the
+    order +m, -m, +e, -e per setting, then e_k <= m_k, and each column lists
+    its rows in increasing order, as linprog's ``tocsc`` would.  The order
+    matters: HiGHS's path depends on it, and grouping all "+" rows before
+    all "-" rows moved the bounds by up to 1.2e-4 relative.
     """
     if not settings:
         return 0.0, 1.0
     n = (_K_MAX + 1) ** 2
     n_settings = len(settings)
+    n_rows = 4 * n_settings + n
     n_vars = 2 * n + 2 * n_settings
 
     # Weights of the (k_a, k_b) classes in row-major order, one row per setting.
@@ -347,19 +425,25 @@ def _solve_basis_lp(
     # Rows: +m, -m, +e, -e per setting, then e_k <= m_k.
     b_ub = np.concatenate([np.stack([scaled + tol, -(scaled - tol)], axis=2).ravel(), np.zeros(n)])
 
-    w = sparse.csr_matrix(weights)
-    eye_s, eye_n = sparse.identity(n_settings, format="csr"), sparse.identity(n, format="csr")
-    blocks = [
-        [w, None, eye_s, None],
-        [-w, None, -eye_s, None],
-        [None, w, None, eye_s],
-        [None, -w, None, -eye_s],
-        [-eye_n, eye_n, None, None],
-    ]
-    # bmat groups the rows by block; put each setting's four rows together.
-    order = np.arange(4 * n_settings + n)
-    order[: 4 * n_settings] = order[: 4 * n_settings].reshape(4, n_settings).T.ravel()
-    a_ub = sparse.bmat(blocks, format="csr")[order]
+    # Entries (row, column, value).  Row 4 s + j is setting s's +m, -m, +e or
+    # -e row: it weighs the m_k (j < 2) or the e_k columns, and the matching
+    # slack of the setting.  Row 4 S + k is e_k - m_k <= 0.
+    setting, k = np.nonzero(weights)
+    w = weights[setting, k]
+    s, i = np.arange(n_settings), np.arange(n)
+    rows, cols, vals = [], [], []
+    for j, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+        is_error = j // 2
+        rows += [4 * setting + j, 4 * s + j]
+        cols += [is_error * n + k, 2 * n + is_error * n_settings + s]
+        vals += [sign * w, np.full(n_settings, sign)]
+    rows += [4 * n_settings + i] * 2
+    cols += [i, n + i]
+    vals += [np.full(n, -1.0), np.ones(n)]
+    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_vars))])
+    a_ub = sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n_rows, n_vars))
     upper = np.concatenate([np.ones(2 * n), tails, tails]) / unit
     bounds = np.column_stack([np.zeros(n_vars), upper])
 
@@ -373,7 +457,6 @@ def _solve_basis_lp(
             A_ub=a_ub,
             b_ub=b_ub,
             bounds=bounds,
-            method="highs",
             options={
                 "primal_feasibility_tolerance": 1e-10,
                 "dual_feasibility_tolerance": 1e-9,

@@ -146,6 +146,8 @@ class SweepSpec:
             start, stop = self.distance_start, self.distance_stop
             if start is not None and stop is not None and stop < start:
                 problems.append("distance grid: stop must be >= start")
+        if self.seed < 0:
+            problems.append("seed: must be >= 0")
         if self.n_rounds < 1:
             problems.append("n_rounds: must be >= 1")
         if self.workers < 1:
@@ -169,7 +171,12 @@ def load_spec(source: str | dict[str, Any]) -> SweepSpec:
         raise SweepValidationError(f"unknown keys: {', '.join(unknown)}")
     env_seed = os.environ.get("MPQKD_SEED")
     if env_seed is not None:
-        data["seed"] = int(env_seed)
+        try:
+            data["seed"] = int(env_seed)
+        except ValueError:
+            raise SweepValidationError(
+                f"MPQKD_SEED: must be an integer, got {env_seed!r}"
+            ) from None
     problems = [_type_problem(name, value) for name, value in data.items()]
     problems = [problem for problem in problems if problem]
     if problems:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import _linprog_highs, linprog
+from scipy.optimize._highspy import _core
 
 import mpqkd.decoy
 from mpqkd.decoy import (
@@ -166,6 +167,95 @@ def oracle_basis_lp(settings, totals, errors):
             raise RuntimeError(f"decoy LP failed: {res.message}")
         results.append(res.x[column] * unit)
     return min(max(results[0], 0.0), 1.0), min(max(results[1], 0.0), 1.0)
+
+
+def oracle_lp_model(settings, totals, errors):
+    """Constraint matrix, right-hand side and bounds of one basis's LP, built
+    apart from :func:`_solve_basis_lp`: weights from :func:`poisson_pair_prob`,
+    the matrix from :func:`oracle_constraint_matrix`."""
+    classes = [(k_a, k_b) for k_a in range(ORACLE_CUTOFF + 1) for k_b in range(ORACLE_CUTOFF + 1)]
+    weights = np.array([[poisson_pair_prob(k, vec) for k in classes] for vec in settings])
+    tails = np.maximum(1.0 - weights.sum(axis=1), 0.0)
+    observed = np.array([[totals[vec], errors[vec]] for vec in settings])
+    unit = max(observed[:, 0].max(), 1e-300)
+    scaled = observed / unit
+    tol = _EQUALITY_TOL * scaled
+    n = len(classes)
+    b_ub = np.concatenate([np.stack([scaled + tol, -(scaled - tol)], axis=2).ravel(), np.zeros(n)])
+    upper = np.concatenate([np.ones(2 * n), tails, tails]) / unit
+    bounds = np.column_stack([np.zeros(len(upper)), upper])
+    return oracle_constraint_matrix(weights), b_ub, bounds
+
+
+def oracle_constraint_matrix(weights):
+    """Reference assembly of the constraint matrix: sparse blocks, their rows
+    regrouped into +m, -m, +e, -e per setting, then e_k <= m_k."""
+    n_settings, n = weights.shape
+    w = sparse.csr_matrix(weights)
+    eye_s, eye_n = sparse.identity(n_settings, format="csr"), sparse.identity(n, format="csr")
+    blocks = [
+        [w, None, eye_s, None],
+        [-w, None, -eye_s, None],
+        [None, w, None, eye_s],
+        [None, -w, None, -eye_s],
+        [-eye_n, eye_n, None, None],
+    ]
+    order = np.arange(4 * n_settings + n)
+    order[: 4 * n_settings] = order[: 4 * n_settings].reshape(4, n_settings).T.ravel()
+    return sparse.bmat(blocks, format="csr")[order]
+
+
+class _Handed(Exception):
+    """Stops scipy's linprog once it has handed its model to HiGHS."""
+
+
+def scipy_highs_inputs(c, A_ub, b_ub, bounds, options):
+    """The arguments scipy's linprog(method="highs") passes to its HiGHS
+    wrapper: c, CSC indptr/indices/data, row bounds, column bounds,
+    integrality and the options dict."""
+    with mock.patch.object(_linprog_highs, "_highs_wrapper", side_effect=_Handed) as wrapper:
+        with pytest.raises(_Handed):
+            linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
+    return wrapper.call_args.args
+
+
+def scipy_highs_options(options):
+    """The options scipy's HiGHS wrapper sets from linprog's options dict:
+    unset ones and the objective sense are skipped, presolve becomes "on"."""
+    skipped = {key for key, value in options.items() if value is None} | {"sense"}
+    out = {key: value for key, value in options.items() if key not in skipped}
+    out["presolve"] = "on" if out["presolve"] else "off"
+    return out
+
+
+def decoy_lp_inputs(settings, totals, errors):
+    """Each LP that _solve_basis_lp solves, as (c, A_ub, b_ub, bounds, the
+    options passed to linprog, the options set on HiGHS)."""
+    calls = []
+    real = mpqkd.decoy.linprog
+
+    class RecordingOptions(_core.HighsOptions):
+        def __setattr__(self, key, value):
+            calls[-1][-1][key] = value
+            super().__setattr__(key, value)
+
+    def recording_linprog(c, A_ub, b_ub, bounds, options):
+        calls.append((c, A_ub, b_ub, bounds, options, {}))
+        return real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, options=options)
+
+    with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog), mock.patch.object(
+        _core, "HighsOptions", RecordingOptions
+    ):
+        mpqkd.decoy._solve_basis_lp(settings, totals, errors)
+    return calls
+
+
+def basis_observables(observables, config):
+    """(settings, totals, errors) of the Z and the X basis."""
+    return (
+        (config.z_settings(), observables.z_total, observables.z_error),
+        (config.x_settings(), observables.x_total, observables.x_error),
+    )
 
 
 def oracle_bounds(observables, config):
@@ -498,6 +588,90 @@ class TestLinearProgram:
             mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
         assert len(matrices) == 2 and matrices[0] is matrices[1]
         assert sparse.issparse(matrices[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        distance_a=st.floats(40.0, 120.0),
+        gap=st.floats(0.0, 60.0),
+        mu_a=st.floats(0.2, 0.9),
+        mu_b=st.floats(0.2, 0.9),
+        nu_frac=st.sampled_from((0.01, 0.1, 0.35)),
+        s_nu=st.sampled_from((1e-3, 0.0)),
+        p_d=st.sampled_from(DARK_COUNT_RATES),
+    )
+    def test_highs_gets_the_linprog_model(self, distance_a, gap, mu_a, mu_b, nu_frac, s_nu, p_d):
+        # HiGHS receives the arrays and options that scipy's linprog handed
+        # it for the block-built matrix, bit for bit and in the same dtypes
+        sc = make_scenario(
+            distance_a,
+            distance_a + gap,
+            mu_a,
+            mu_b,
+            1e6,
+            SystemParams(p_d=p_d),
+            nu_a=mu_a * nu_frac,
+            nu_b=mu_b * nu_frac,
+        )
+        cfg = decoy_config_for(sc, s_nu=s_nu)
+        for basis in basis_observables(expected_observables(sc, cfg), cfg):
+            calls = decoy_lp_inputs(*basis)
+            assert len(calls) == 2
+            a_ub, b_ub, bounds = oracle_lp_model(*basis)
+            for c, matrix, rhs, box, options, options_set in calls:
+                handed = scipy_highs_inputs(c, a_ub, b_ub, bounds, options)
+                c_0, indptr, indices, data, lhs, rhs_0, lb, ub, integrality, highs_options = handed
+                pairs = (
+                    (c, c_0),
+                    (matrix.indptr, indptr),
+                    (matrix.indices, indices),
+                    (matrix.data, data),
+                    (rhs, rhs_0),
+                    (box[:, 0], lb),
+                    (box[:, 1], ub),
+                )
+                for new, old in pairs:
+                    assert new.dtype == old.dtype and np.array_equal(new, old)
+                assert np.array_equal(lhs, np.full(len(rhs), -_core.kHighsInf))
+                assert integrality.size == 0
+                assert options_set == scipy_highs_options(highs_options)
+
+    def test_linprog_matches_scipy(self):
+        # the decoy LPs give the solution and status of scipy's linprog
+        geometries = [
+            (100.0, 150.0, 0.2402, 0.7594, 0.05, 0.05, 1e-3, 1.2e-8),
+            (60.0, 60.0, 0.5, 0.5, 0.005, 0.005, 1e-3, 1e-2),
+            (80.0, 130.0, 0.3, 0.8, 0.003, 0.008, 1e-3, 1e-4),
+            (100.0, 150.0, 0.24, 0.76, 0.024, 0.076, 0.0, 0.0),
+        ]
+        for d_a, d_b, mu_a, mu_b, nu_a, nu_b, s_nu, p_d in geometries:
+            sc = make_scenario(d_a, d_b, mu_a, mu_b, 1e6, SystemParams(p_d=p_d), nu_a=nu_a, nu_b=nu_b)
+            cfg = decoy_config_for(sc, s_nu=s_nu)
+            for basis in basis_observables(expected_observables(sc, cfg), cfg):
+                for c, a_ub, b_ub, bounds, options, _ in decoy_lp_inputs(*basis):
+                    res = mpqkd.decoy.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
+                    ref = linprog(
+                        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options
+                    )
+                    assert (res.status, res.success) == (ref.status, ref.success) == (0, True)
+                    assert np.array_equal(res.x, ref.x)
+
+    def test_iteration_limit_is_a_failure(self):
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        real = mpqkd.decoy.linprog
+        results = []
+
+        def limited_linprog(c, options, **kwargs):
+            res = real(c, options={**options, "simplex_iteration_limit": 0}, **kwargs)
+            results.append(res)
+            return res
+
+        with mock.patch.object(mpqkd.decoy, "linprog", limited_linprog):
+            with pytest.raises(RuntimeError, match="decoy LP failed: "):
+                mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
+        (res,) = results
+        assert (res.success, res.status, res.x) == (False, 1, None)
 
 
 class TestDecoyKeyRate:

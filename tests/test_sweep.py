@@ -317,6 +317,35 @@ class TestCli:
         assert f"validation error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, seed, env_seed, message",
+        [
+            ("run", -1, None, "seed: must be >= 0"),
+            ("verify", -1, None, "seed: must be >= 0"),
+            ("run", 5, "-3", "seed: must be >= 0"),
+            ("run", 5, "abc", "MPQKD_SEED: must be an integer, got 'abc'"),
+        ],
+        ids=["run-negative", "verify-negative", "env-negative", "env-not-integer"],
+    )
+    def test_bad_seed_is_a_validation_error(
+        self, tmp_path, capsys, monkeypatch, command, seed, env_seed, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(mpqkd.sweep, "optimize_intensities", unreachable)
+        monkeypatch.setattr(mpqkd.sweep, "simulate_rounds", unreachable)
+        if env_seed is None:
+            monkeypatch.delenv("MPQKD_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MPQKD_SEED", env_seed)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**CUSTOM_BASE, "seed": seed}))
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"validation error: {message}" in captured.err
+
+    @pytest.mark.parametrize(
         "command, spec",
         [
             ("run", {"mode": "fig4", "distance_start": 700}),
