@@ -3,10 +3,11 @@ Monte Carlo / decoy verification harness.
 
 A sweep is described by a :class:`SweepSpec` (usually loaded from a strict
 JSON document).  One expansion turns every mode into curves: a curve is a
-list of distance points, and a point holds one task per method.  One loop
-evaluates them, mapping each curve's tasks in a single call (the lazy
-builtin ``map``, or one process pool per sweep), and stops a figure curve
-once its rate falls below ``CURVE_CUTOFF``.  Rows are emitted as
+list of distance points, and a point holds one task per method.  A sweep
+then runs in two phases.  It optimizes each distinct intensity problem of
+its tasks once, in one ``map`` (the builtin one, or one process pool's);
+then it builds every row from those optima and cuts each figure curve after
+its first point whose rate is below ``CURVE_CUTOFF``.  Rows are emitted as
 fixed-header CSV with 10-significant-digit decimal formatting, so identical
 specs produce byte-identical files.
 """
@@ -17,8 +18,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from itertools import islice, product
-from typing import Any, Callable, Iterable, Iterator
+from itertools import product
+from typing import Any, Iterable
 
 from .decoy import (
     bound_single_photon,
@@ -36,13 +37,14 @@ from .model import (
     parse_pairing_interval,
 )
 from .montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
-from .optimize import OptimizationProblem, optimize_intensities, plob_bound
+from .optimize import OptimizationProblem, OptimumReport, optimize_intensities, plob_bound
 
 __all__ = [
     "SweepValidationError",
     "SweepSpec",
     "ResultRow",
     "load_spec",
+    "oi_problem",
     "run_sweep",
     "format_row",
     "write_rows",
@@ -73,6 +75,8 @@ MODES = (*_PRESET_POINTS, *_FIGURE_CURVES, "custom")
 # Figure sweeps stop a curve once the OI rate drops below this.
 CURVE_CUTOFF = 1e-12
 MAX_TOTAL_KM = 600.0
+# A distance grid holds at most this many totals per gap (the presets: <= 119).
+MAX_GRID_TOTALS = 10_000
 
 
 class SweepValidationError(ValueError):
@@ -108,12 +112,21 @@ class SweepSpec:
         problems: list[str] = []
         if self.mode not in MODES:
             problems.append(f"mode: must be one of {MODES}, got {self.mode!r}")
+        grid = (self.distance_start, self.distance_stop, self.distance_step)
+        if self.mode == "custom" and None in grid:
+            problems.append("distance_start/stop/step: required for custom mode")
+        elif self.distance_step is not None and self.distance_step <= 0:
+            problems.append("distance grid: step must be > 0")
+        elif None not in grid[:2] and self.distance_stop < self.distance_start:
+            problems.append("distance grid: stop must be >= start")
+        else:  # counted, not built; gap 0 has the smallest default start
+            start, stop, step = _grid_range(self, 0.0)
+            if not (stop - start) / step < MAX_GRID_TOTALS:
+                problems.append(
+                    f"distance_start/stop/step: a grid holds at most {MAX_GRID_TOTALS} "
+                    f"totals per gap, got [{start:g}, {stop:g}] km in steps of {step:g} km"
+                )
         if self.mode == "custom":
-            grid = (self.distance_start, self.distance_stop, self.distance_step)
-            if any(v is None for v in grid):
-                problems.append("distance_start/stop/step: required for custom mode")
-            elif self.distance_step <= 0 or self.distance_stop < self.distance_start:
-                problems.append("distance grid: step must be > 0 and stop >= start")
             if not self.delta_list:
                 problems.append("delta_list: must be nonempty")
             elif any(d < 0 for d in self.delta_list):
@@ -141,11 +154,6 @@ class SweepSpec:
             for name in ("delta_list", "lambda_list", "e_d_list", "methods", "mu_a", "mu_b"):
                 if getattr(self, name) is not None:
                     problems.append(f"{name}: not overridable in preset mode {self.mode!r}")
-            if self.distance_step is not None and self.distance_step <= 0:
-                problems.append("distance_step: must be > 0")
-            start, stop = self.distance_start, self.distance_stop
-            if start is not None and stop is not None and stop < start:
-                problems.append("distance grid: stop must be >= start")
         if self.seed < 0:
             problems.append("seed: must be >= 0")
         if self.n_rounds < 1:
@@ -193,7 +201,8 @@ def load_spec(source: str | dict[str, Any]) -> SweepSpec:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: Python's json also reads NaN, Infinity and -Infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _type_problem(name: str, value: Any) -> str | None:
@@ -245,12 +254,33 @@ class ResultRow:
 CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(ResultRow)]
 
 
-def _delta_ratio(delta_km: float, params: SystemParams) -> float:
-    return 10.0 ** (params.alpha * delta_km / 10.0)
+def oi_problem(total_km: float, delta_km: float, lam: float, e_d: float) -> OptimizationProblem:
+    """The OI problem at a total distance and arm gap: the shorter arm is
+    (total - gap) / 2 and the gap sets the transmittance ratio."""
+    params = SystemParams(e_d=e_d)
+    delta = 10.0 ** (params.alpha * delta_km / 10.0)
+    return OptimizationProblem((total_km - delta_km) / 2.0, delta, lam, params)
 
 
-def _evaluate_point(task: tuple) -> ResultRow:
-    """Evaluate one (geometry, interval, misalignment, method) grid point."""
+def _problem(task: tuple) -> OptimizationProblem | None:
+    """The problem whose optimum sets a task's intensities, None for PLOB and
+    fixed intensity; AF pads the shorter arm to the longer one."""
+    total_km, delta_km, lam, e_d, method, _ = task
+    if method == "OI":
+        return oi_problem(total_km, delta_km, lam, e_d)
+    if method == "AF":
+        distance_b = (total_km - delta_km) / 2.0 + delta_km
+        return OptimizationProblem(distance_b, 1.0, lam, SystemParams(e_d=e_d))
+    return None
+
+
+def _optimize(problem: OptimizationProblem) -> OptimumReport:
+    """Calls the module global ``optimize_intensities``; a pool pickles this by name."""
+    return optimize_intensities(problem)
+
+
+def _row(task: tuple, optima: dict[OptimizationProblem, OptimumReport]) -> ResultRow:
+    """The row of one (geometry, interval, misalignment, method) task."""
     total_km, delta_km, lam, e_d, method, mu_fixed = task
     params = SystemParams(e_d=e_d)
     distance_a = (total_km - delta_km) / 2.0
@@ -260,27 +290,26 @@ def _evaluate_point(task: tuple) -> ResultRow:
     head = (total_km, distance_a, distance_b, delta_km, lam, e_d, method)
     if method == "PLOB":
         return ResultRow(*head, mu_a=None, mu_b=None, rate=plob, plob=plob, plob_det=plob_det)
-    if method not in METHODS:
-        raise SweepValidationError(f"unknown method {method!r}")
-
-    if method == "AF":
-        problem = OptimizationProblem(distance_b, 1.0, lam, params)
+    problem = _problem(task)
+    if problem is None:  # fixed intensity, at the OI geometry
+        problem, (mu_a, mu_b) = oi_problem(total_km, delta_km, lam, e_d), mu_fixed
     else:
-        problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
-    if method == "fixed-intensity":
-        mu_a, mu_b = mu_fixed
-    else:
-        report = optimize_intensities(problem)
-        mu_a, mu_b = report.mu_a_star, report.mu_b_star
+        mu_a, mu_b = optima[problem].mu_a_star, optima[problem].mu_b_star
     breakdown = key_rate(problem.scenario(mu_a, mu_b))
     return ResultRow(*head, mu_a, mu_b, plob=plob, plob_det=plob_det, **asdict(breakdown))
 
 
-def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
-    """Total distances of the grid at one gap; an empty grid is an error."""
+def _grid_range(spec: SweepSpec, delta_km: float) -> tuple[float, float, float]:
+    """(start, stop, step) of the distance grid at one gap, defaults filled in."""
     start = spec.distance_start if spec.distance_start is not None else delta_km + 10.0
     stop = spec.distance_stop if spec.distance_stop is not None else MAX_TOTAL_KM
     step = spec.distance_step if spec.distance_step is not None else 5.0
+    return start, stop, step
+
+
+def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
+    """Total distances of the grid at one gap; an empty grid is an error."""
+    start, stop, step = _grid_range(spec, delta_km)
     totals = []
     total = max(start, delta_km + 2.0)  # both arms must stay positive
     while total <= stop + 1e-9:
@@ -295,8 +324,7 @@ def _grid_totals(spec: SweepSpec, delta_km: float) -> list[float]:
 
 
 def _curves(spec: SweepSpec) -> list[list[list[tuple]]]:
-    """Expand a spec into curves of points, each point one ``_evaluate_point``
-    task per method.
+    """Expand a spec into curves of points, each point one task per method.
 
     Tables, fig3 and custom are one curve holding all their points in row
     order; fig4-fig7 have one curve per (gap, λ, e_d), over the distance grid.
@@ -315,39 +343,39 @@ def _curves(spec: SweepSpec) -> list[list[list[tuple]]]:
     return [[[(*point, m, mu_fixed) for m in methods] for point in grid] for grid in grids]
 
 
-def _evaluate(spec: SweepSpec, mapper: Callable[..., Iterator[ResultRow]]) -> list[ResultRow]:
-    """Map each curve's tasks with one ``mapper`` call and collect the rows.
-
-    A figure curve stops after its first point whose OI rate is below
-    ``CURVE_CUTOFF``.  The builtin ``map`` is lazy, so no task past the
-    cutoff runs; a pool's ``map`` iterator is closed, which cancels the
-    tasks it has not started.
-    """
-    cut_off = spec.mode in _FIGURE_CURVES
-    rows: list[ResultRow] = []
-    for curve in _curves(spec):
-        results = mapper(_evaluate_point, [task for point in curve for task in point])
-        for point in curve:
-            point_rows = list(islice(results, len(point)))
-            rows.extend(point_rows)
-            if cut_off and next(r.rate for r in point_rows if r.method == "OI") < CURVE_CUTOFF:
-                break
-        if hasattr(results, "close"):
-            results.close()
-    return rows
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Expand and evaluate a sweep; writes the CSV when an output path is set.
 
-    With more than one worker the whole sweep runs on one process pool,
-    which gets one curve per ``map`` call.
+    Phase one optimizes each distinct problem of the OI and AF tasks once
+    (an AF task often poses a gap-0 OI task's), in one ``map``: the builtin
+    one, or a process pool's if more than one worker gets a problem and a
+    CPU.  Phase two builds the rows from those optima and cuts each figure
+    curve after its first point whose OI rate is below ``CURVE_CUTOFF``.
     """
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = _evaluate(spec, pool.map)
+    curves = _curves(spec)
+    tasks = (task for curve in curves for point in curve for task in point)
+    problems = list(dict.fromkeys(p for p in map(_problem, tasks) if p is not None))
+    workers = min(spec.workers, len(problems), _cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            optima = dict(zip(problems, pool.map(_optimize, problems)))
     else:
-        rows = _evaluate(spec, map)
+        optima = dict(zip(problems, map(_optimize, problems)))
+    cut_off = spec.mode in _FIGURE_CURVES
+    rows: list[ResultRow] = []
+    for curve in curves:
+        for point in curve:
+            point_rows = [_row(task, optima) for task in point]
+            rows.extend(point_rows)
+            if cut_off and next(r.rate for r in point_rows if r.method == "OI") < CURVE_CUTOFF:
+                break
     if spec.out:
         write_rows(rows, spec.out)
     return rows
@@ -429,8 +457,7 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
     params = SystemParams(e_d=spec.e_d_list[0] if spec.e_d_list else _E_D)
     report: list[dict[str, Any]] = []
     for point_index, (total, delta_km, lam) in enumerate(_verification_points(spec)):
-        distance_a = (total - delta_km) / 2.0
-        problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
+        problem = oi_problem(total, delta_km, lam, params.e_d)
         optimum = optimize_intensities(problem)
         scenario = problem.scenario(optimum.mu_a_star, optimum.mu_b_star)
         label = f"point{point_index}(total={total:g},gap={delta_km:g},lam={lam:g})"

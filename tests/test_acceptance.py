@@ -32,7 +32,7 @@ from mpqkd.optimize import (
     optimize_intensities,
     plob_bound,
 )
-from mpqkd.sweep import _delta_ratio
+from mpqkd.sweep import oi_problem
 
 PARAMS = SystemParams()
 
@@ -45,15 +45,8 @@ def _criterion(number: int, label: str, passed: bool, detail: str = "") -> None:
     assert passed, line
 
 
-def _oi_problem(
-    total_km: float, delta_km: float, lam: float, params: SystemParams = PARAMS
-) -> OptimizationProblem:
-    distance_a = (total_km - delta_km) / 2.0
-    return OptimizationProblem(distance_a, _delta_ratio(delta_km, params), lam, params)
-
-
-def _oi_rate(total_km: float, delta_km: float, lam: float, params: SystemParams = PARAMS) -> float:
-    return optimize_intensities(_oi_problem(total_km, delta_km, lam, params)).r_star
+def _oi_rate(total_km: float, delta_km: float, lam: float, e_d: float = PARAMS.e_d) -> float:
+    return optimize_intensities(oi_problem(total_km, delta_km, lam, e_d)).r_star
 
 
 def test_criterion_01_table2():
@@ -166,7 +159,7 @@ def test_criterion_07_plob_crossover_and_interval_gain():
     rate = {}
     click = {}
     for lam in (1e3, 1):
-        problem = _oi_problem(200.0, 50.0, lam)
+        problem = oi_problem(200.0, 50.0, lam, PARAMS.e_d)
         report = optimize_intensities(problem)
         rate[lam] = report.r_star
         click[lam] = key_rate(problem.scenario(report.mu_a_star, report.mu_b_star)).p
@@ -188,8 +181,7 @@ def test_criterion_08_method_dominance_and_150km_gap_reach():
     dominance = True
     for delta_km in (50.0, 100.0, 150.0):
         for total in np.arange(delta_km + 20.0, 401.0, 25.0):
-            distance_a = (total - delta_km) / 2.0
-            problem = OptimizationProblem(distance_a, _delta_ratio(delta_km, PARAMS), 1e6)
+            problem = oi_problem(total, delta_km, 1e6, PARAMS.e_d)
             oi = optimize_intensities(problem).r_star
             af = adding_fiber_rate(problem)
             if oi > 0.0 and af > 0.0:
@@ -212,7 +204,8 @@ def test_criterion_09_misalignment_robustness():
     params = SystemParams(e_d=0.20)
     reach = False
     for total in range(280, 420, 10):
-        if _oi_rate(total, 100.0, 1e6, params) > plob_bound(total, params, include_detector=True):
+        oi_rate = _oi_rate(total, 100.0, 1e6, params.e_d)
+        if oi_rate > plob_bound(total, params, include_detector=True):
             reach = True
             break
     _criterion(9, "misalignment-20pct-still-beats-plob", reach, f"crossover found={reach}")

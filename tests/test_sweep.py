@@ -34,6 +34,8 @@ CUSTOM_BASE = {
 }
 # Four fig4 curves, each cut off before 600 km: 63 rows from 96 tasks.
 FIG4_CUTOFF = {"mode": "fig4", "distance_start": 250, "distance_stop": 600, "distance_step": 50}
+# Four fig4 curves at totals 200, 300 and 400 km, none cut off: 36 rows.
+FIG4_TRIMMED = {"mode": "fig4", "distance_start": 200, "distance_stop": 400, "distance_step": 100}
 
 
 def traced_peak(call) -> int:
@@ -95,6 +97,29 @@ class TestSpecParsing:
     def test_preset_rejects_parameter_overrides(self):
         with pytest.raises(SweepValidationError, match="not overridable"):
             load_spec({"mode": "table2", "delta_list": [10]})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {**CUSTOM_BASE, "distance_stop": 1e12, "distance_step": 5},
+            {**CUSTOM_BASE, "distance_start": 0, "distance_stop": 1e4, "distance_step": 1},
+            {**CUSTOM_BASE, "delta_list": [0, 500], "distance_start": 0,
+             "distance_stop": 5e4, "distance_step": 5},
+            {"mode": "fig4", "distance_step": 1e-3},
+            {"mode": "table2", "distance_stop": 1e9},
+        ],
+        ids=["custom-huge", "custom-span-at-limit", "custom-smallest-gap", "fig4", "table2"],
+    )
+    def test_oversized_grid_rejected_before_it_is_built(self, spec):
+        # load_spec builds no grid, so an unchecked grid here costs nothing.
+        with pytest.raises(
+            SweepValidationError, match="distance_start/stop/step: a grid holds at most 10000"
+        ):
+            load_spec(spec)
+
+    def test_largest_allowed_grid(self):
+        spec = {**CUSTOM_BASE, "distance_start": 0, "distance_stop": 9999, "distance_step": 1}
+        assert len(mpqkd.sweep._grid_totals(load_spec(spec), 0.0)) == 9998  # from 2 km
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("MPQKD_SEED", "271828")
@@ -175,13 +200,116 @@ class TestRunSweep:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", CountingPool)
-        spec = {"mode": "fig4", "distance_start": 200, "distance_stop": 400, "distance_step": 100}
-        sequential = run_sweep(load_spec(spec))
+        monkeypatch.setattr(mpqkd.sweep, "_cpu_count", lambda: 8)
+        sequential = run_sweep(load_spec(FIG4_TRIMMED))
         assert starts == []
-        parallel = run_sweep(load_spec({**spec, "workers": 2}))
+        parallel = run_sweep(load_spec({**FIG4_TRIMMED, "workers": 2}))
         assert starts == [2]
         assert len(parallel) == 36  # 4 curves x 3 totals x (OI, AF, PLOB)
         assert parallel == sequential
+
+    @pytest.mark.parametrize(
+        "spec, workers, cpus, expected",
+        [
+            (FIG4_TRIMMED, 5000, 64, [17]),  # 17 distinct problems
+            (FIG4_TRIMMED, 5000, 3, [3]),
+            (FIG4_TRIMMED, 2, 64, [2]),
+            (FIG4_TRIMMED, 5000, 1, []),
+            (CUSTOM_BASE, 4, 64, [2]),  # one OI problem per total
+            ({**CUSTOM_BASE, "distance_stop": 200}, 4, 64, []),
+            ({**CUSTOM_BASE, "methods": ["PLOB"]}, 4, 64, []),
+        ],
+        ids=["problems", "cpus", "workers", "one-cpu", "custom", "one-problem", "no-problem"],
+    )
+    def test_pool_size_is_bounded(self, monkeypatch, spec, workers, cpus, expected):
+        # A stand-in executor that starts no process: a real pool of this
+        # size would fork every worker at its first task.
+        starts = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                starts.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(mpqkd.sweep, "_cpu_count", lambda: cpus)
+        rows = run_sweep(load_spec({**spec, "workers": workers}))
+        assert starts == expected
+        assert rows == run_sweep(load_spec(spec))
+
+    def test_cpu_count_is_this_process_affinity(self):
+        count = mpqkd.sweep._cpu_count()
+        assert 1 <= count <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert count == len(os.sched_getaffinity(0))
+
+    def test_each_distinct_problem_optimized_once(self, monkeypatch):
+        calls = []
+        optimize = mpqkd.sweep.optimize_intensities
+
+        def counting(problem):
+            calls.append(problem)
+            return optimize(problem)
+
+        monkeypatch.setattr(mpqkd.sweep, "optimize_intensities", counting)
+        rows = run_sweep(load_spec(FIG4_TRIMMED))
+        # 24 OI and AF tasks: AF at gap 0 is the OI problem, and AF at total
+        # t and gap g is AF at total t - 100 and gap g + 100.
+        assert len(calls) == len(set(calls)) == 17
+        assert len(rows) == 36
+        calls.clear()
+        gap_0 = {**CUSTOM_BASE, "delta_list": [0]}
+        run_sweep(load_spec({**gap_0, "methods": ["OI", "AF"]}))
+        with_af = len(calls)
+        calls.clear()
+        run_sweep(load_spec({**gap_0, "methods": ["OI"]}))
+        assert with_af == len(calls) == 2  # a gap-0 AF task adds no call
+
+    def test_one_map_per_sweep(self, monkeypatch):
+        maps = []
+
+        class CountingPool(mpqkd.sweep.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                maps.append(len(tasks))
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mpqkd.sweep, "_cpu_count", lambda: 2)
+        rows = run_sweep(load_spec({**FIG4_CUTOFF, "workers": 2}))
+        assert len(rows) == 63
+        assert len(maps) == 1  # every curve's problems, past-cutoff ones included
+
+        serial_maps = []
+        builtin_map = map
+
+        def counting_map(fn, *iterables):
+            serial_maps.append(fn)
+            return builtin_map(fn, *iterables)
+
+        monkeypatch.setattr(mpqkd.sweep, "map", counting_map, raising=False)
+        assert run_sweep(load_spec(FIG4_CUTOFF)) == rows
+        assert serial_maps.count(mpqkd.sweep._optimize) == 1
+
+    def test_pool_runs_a_wrapped_optimizer(self, monkeypatch):
+        # A wrapper closure cannot be pickled; the pool must still get a
+        # module-level function that finds the optimizer at call time.
+        optimize = mpqkd.sweep.optimize_intensities
+
+        def wrapped(problem):
+            return optimize(problem)
+
+        monkeypatch.setattr(mpqkd.sweep, "optimize_intensities", wrapped)
+        monkeypatch.setattr(mpqkd.sweep, "_cpu_count", lambda: 2)
+        parallel = run_sweep(load_spec({**FIG4_TRIMMED, "workers": 2}))
+        assert parallel == run_sweep(load_spec(FIG4_TRIMMED))
 
     def test_cut_off_curves_agree_across_workers(self):
         sequential = run_sweep(load_spec(FIG4_CUTOFF))
@@ -189,34 +317,6 @@ class TestRunSweep:
         assert {r.delta_km for r in sequential} == {0.0, 50.0, 100.0, 150.0}
         assert max(r.total_km for r in sequential) < 600.0
         assert run_sweep(load_spec({**FIG4_CUTOFF, "workers": 2})) == sequential
-
-    def test_serial_path_evaluates_only_returned_rows(self, monkeypatch):
-        calls = []
-        evaluate = mpqkd.sweep._evaluate_point
-
-        def counting(task):
-            calls.append(task)
-            return evaluate(task)
-
-        monkeypatch.setattr(mpqkd.sweep, "_evaluate_point", counting)
-        rows = run_sweep(load_spec(FIG4_CUTOFF))
-        assert len(calls) == len(rows) == 63
-
-    def test_pool_maps_one_curve_per_call(self, monkeypatch):
-        maps = []
-
-        class CountingPool(mpqkd.sweep.ProcessPoolExecutor):
-            def map(self, fn, tasks, **kwargs):
-                maps.append((len(tasks), super().map(fn, tasks, **kwargs)))
-                return maps[-1][1]
-
-        monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", CountingPool)
-        rows = run_sweep(load_spec({**FIG4_CUTOFF, "workers": 2}))
-        assert len(rows) == 63
-        assert [n_tasks for n_tasks, _ in maps] == [24, 24, 24, 24]
-        # Every curve stops early, the last one included. Its result iterator
-        # is closed there, which cancels the tasks the pool has not started.
-        assert all(results.gi_frame is None for _, results in maps)
 
     def test_fig3_intensity_curves(self):
         rows = run_sweep(load_spec({"mode": "fig3"}))
@@ -315,6 +415,36 @@ class TestCli:
         config.write_text(json.dumps({**CUSTOM_BASE, **override}))
         assert main(["run", "--config", str(config)]) == 1
         assert f"validation error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"delta_list": [math.nan]}, "delta_list: must be a list of numbers, got [nan]"),
+            ({"distance_stop": math.inf}, "distance_stop: must be a number, got inf"),
+            ({"distance_start": -math.inf}, "distance_start: must be a number, got -inf"),
+            ({"lambda_list": [10, math.inf]}, "lambda_list: must be a list of numbers"),
+            ({"e_d_list": [math.nan]}, "e_d_list: must be a list of numbers, got [nan]"),
+            ({"mu_a": math.nan}, "mu_a: must be a number, got nan"),
+        ],
+        ids=["delta-nan", "stop-inf", "start-minus-inf", "lambda-inf", "e_d-nan", "mu_a-nan"],
+    )
+    def test_non_finite_value_is_a_validation_error(
+        self, tmp_path, capsys, monkeypatch, override, message
+    ):
+        # Python's json reads and writes NaN, Infinity and -Infinity; JSON
+        # itself has no such numbers ("inf" is the unbounded interval).
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(mpqkd.sweep, "optimize_intensities", unreachable)
+        config = tmp_path / "sweep.json"
+        spec = {**CUSTOM_BASE, "methods": ["OI", "fixed-intensity"], "mu_a": 0.5, "mu_b": 0.5}
+        config.write_text(json.dumps({**spec, **override}))
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"validation error: {message}" in captured.err
 
     @pytest.mark.parametrize(
         "command, seed, env_seed, message",
