@@ -1,10 +1,10 @@
-"""Pulse-intensity optimization and the reference baselines.
+"""Pulse-intensity optimization, the closed-form optima and the PLOB bound.
 
 The key-rate surface over (mu_a, mu_b) has a single peak, so a coarse grid
 scan followed by derivative-free simplex refinement locates the global
 maximizer reliably.  The grid is one array evaluation
-(:func:`mpqkd.model.key_rate_grid`); the grid's best rate and the
-refinement use the scalar :func:`mpqkd.model.key_rate`.  A short Newton
+(:meth:`OptimizationProblem.rate_grid`); the grid's best rate and the
+refinement use the scalar :meth:`OptimizationProblem.rate`.  A short Newton
 polish on central finite differences sharpens the final point to well below
 the 1e-4 intensity tolerance, which also lets the optimizer reproduce the
 closed-form stationary points of the linearized model to ~1e-9.
@@ -22,11 +22,9 @@ from scipy.optimize import minimize
 from .model import (
     Scenario,
     SystemParams,
-    distance_from_transmittance,
     is_pairing_interval,
     key_rate,
     key_rate_grid,
-    linearized_key_rate,
     transmittance_from_distance,
 )
 
@@ -36,13 +34,13 @@ __all__ = [
     "optimize_intensities",
     "closed_form_asymptotic",
     "plob_bound",
-    "adding_fiber_rate",
 ]
 
 # Intensities are clamped away from zero during refinement so the Poisson
 # weights stay well-defined.
 _MU_MIN = 1e-6
 _MU_MAX = 1.0
+_GRID_RESOLUTION = 64
 _GRID_TIE_TOL = 1e-15
 
 
@@ -51,38 +49,33 @@ class OptimizationProblem:
     """Key-rate maximization over (mu_a, mu_b) at a fixed channel geometry.
 
     The geometry is given by the shorter arm length and the transmittance
-    ratio delta = eta_a / eta_b >= 1; the longer arm length follows from the
-    attenuation coefficient.  ``linearized`` switches the objective to the
-    small-intensity closed-form model (oracle/testing use).
+    ratio delta = eta_a / eta_b >= 1, both finite.
     """
 
     distance_a_km: float
     delta: float
     lam: float
     params: SystemParams = SystemParams()
-    linearized: bool = False
 
     def __post_init__(self) -> None:
-        if self.distance_a_km <= 0.0:
-            raise ValueError(f"arm length must be > 0 km, got {self.distance_a_km}")
-        if self.delta < 1.0:
-            raise ValueError(f"transmittance ratio must be >= 1, got {self.delta}")
+        # written so that NaN fails each check
+        if not 0.0 < self.distance_a_km < math.inf:
+            raise ValueError(f"arm length must be finite and > 0 km, got {self.distance_a_km}")
+        if not 1.0 <= self.delta < math.inf:
+            raise ValueError(f"transmittance ratio must be finite and >= 1, got {self.delta}")
         if not is_pairing_interval(self.lam):
             raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
-
-    def distance_b_km(self) -> float:
-        eta_a = transmittance_from_distance(self.distance_a_km, self.params)
-        return distance_from_transmittance(eta_a / self.delta, self.params)
 
     def scenario(self, mu_a: float, mu_b: float) -> Scenario:
         eta_a = transmittance_from_distance(self.distance_a_km, self.params)
         return Scenario(eta_a, eta_a / self.delta, mu_a, mu_b, self.lam, self.params)
 
     def rate(self, mu_a: float, mu_b: float) -> float:
-        scenario = self.scenario(mu_a, mu_b)
-        if self.linearized:
-            return linearized_key_rate(scenario).rate
-        return key_rate(scenario).rate
+        return key_rate(self.scenario(mu_a, mu_b)).rate
+
+    def rate_grid(self, mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
+        """The rate broadcast over intensity arrays."""
+        return key_rate_grid(self.scenario(1.0, 1.0), mu_a, mu_b)
 
 
 @dataclass(frozen=True)
@@ -94,25 +87,21 @@ class OptimumReport:
     r_star: float
     iterations: int
     converged: bool
-    grid_resolution: int
 
 
-def _grid_scan(problem: OptimizationProblem, resolution: int) -> tuple[float, float, float]:
+def _grid_scan(problem: OptimizationProblem) -> tuple[float, float, float]:
     """Best point of a uniform grid over (0, 1]^2, with its scalar rate.
 
-    The full model evaluates the grid as one array; the linearized oracle
-    keeps its per-point scalar evaluation.  A later point wins only if it
-    beats the running best by more than the tie tolerance, so ties keep the
+    The grid is one ``rate_grid`` call.  A later point wins only if it beats
+    the running best by more than the tie tolerance, so ties keep the
     smaller mu_a (then smaller mu_b) for deterministic output.  The returned
     rate is the scalar one at the chosen point, the value the refinement
     compares against.
     """
+    resolution = _GRID_RESOLUTION
     mu = [i / resolution for i in range(1, resolution + 1)]
-    if problem.linearized:
-        rates = [problem.rate(mu_a, mu_b) for mu_a in mu for mu_b in mu]
-    else:
-        axis = np.array(mu)
-        rates = key_rate_grid(problem.scenario(1.0, 1.0), axis[:, None], axis).ravel().tolist()
+    axis = np.array(mu)
+    rates = problem.rate_grid(axis[:, None], axis).ravel().tolist()
     best, k_best = -math.inf, 0
     for k, r in enumerate(rates):
         if r > best + _GRID_TIE_TOL:
@@ -191,7 +180,7 @@ def _stationary(rate: Callable[[float, float], float], x: np.ndarray, r: float) 
     return True
 
 
-def optimize_intensities(problem: OptimizationProblem, grid_resolution: int = 64) -> OptimumReport:
+def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     """Locate the intensities maximizing the key rate for a problem.
 
     Stage 1 scans a uniform grid over (0, 1]^2 to find the basin; stage 2
@@ -202,18 +191,18 @@ def optimize_intensities(problem: OptimizationProblem, grid_resolution: int = 64
     # Nelder-Mead's start and result, the polish's stencils and the final
     # checks revisit points already evaluated; each is computed once.
     rate = functools.cache(problem.rate)
-    r_grid, mu_a0, mu_b0 = _grid_scan(problem, grid_resolution)
+    r_grid, mu_a0, mu_b0 = _grid_scan(problem)
     if r_grid <= 0.0:
-        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, grid_resolution)
+        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False)
 
     # Start strictly inside the box: a start (or simplex vertex) pinned on
     # the boundary degenerates under Nelder-Mead's bound clipping and can
     # leave the search stuck along an edge.
-    pull = 1.0 / grid_resolution
+    pull = 1.0 / _GRID_RESOLUTION
     x0 = np.clip(np.array([mu_a0, mu_b0]), _MU_MIN + pull, _MU_MAX - pull)
     iterations = 0
     x = x0
-    for simplex_step in (1.0 / (2.0 * grid_resolution), 2e-3):
+    for simplex_step in (1.0 / (2.0 * _GRID_RESOLUTION), 2e-3):
         simplex = [x.copy()]
         for k in range(2):
             vertex = x.copy()
@@ -246,7 +235,6 @@ def optimize_intensities(problem: OptimizationProblem, grid_resolution: int = 64
         r_star=float(r_star),
         iterations=iterations + polish_steps,
         converged=_stationary(rate, x, r_star),
-        grid_resolution=grid_resolution,
     )
 
 
@@ -291,15 +279,3 @@ def plob_bound(
         return math.inf
     return -math.log1p(-eta) / math.log(2.0)
 
-
-def adding_fiber_rate(problem: OptimizationProblem, grid_resolution: int = 64) -> float:
-    """Key rate of the adding-fiber baseline: pad the shorter arm until both
-    sides match the longer one, then optimize that symmetric scenario."""
-    padded = OptimizationProblem(
-        distance_a_km=problem.distance_b_km(),
-        delta=1.0,
-        lam=problem.lam,
-        params=problem.params,
-        linearized=problem.linearized,
-    )
-    return optimize_intensities(padded, grid_resolution).r_star

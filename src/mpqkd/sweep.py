@@ -45,6 +45,7 @@ __all__ = [
     "ResultRow",
     "load_spec",
     "oi_problem",
+    "af_problem",
     "run_sweep",
     "format_row",
     "write_rows",
@@ -129,8 +130,8 @@ class SweepSpec:
         if self.mode == "custom":
             if not self.delta_list:
                 problems.append("delta_list: must be nonempty")
-            elif any(d < 0 for d in self.delta_list):
-                problems.append("delta_list: gaps must be >= 0 km")
+            elif not all(0.0 <= d < math.inf for d in self.delta_list):
+                problems.append("delta_list: gaps must be finite and >= 0 km")
             if not self.lambda_list:
                 problems.append("lambda_list: must be nonempty")
             elif not all(is_pairing_interval(lam) for lam in self.lambda_list):
@@ -254,23 +255,34 @@ class ResultRow:
 CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(ResultRow)]
 
 
+def _arms(total_km: float, delta_km: float) -> tuple[float, float]:
+    """The shorter and the longer arm length at a total distance and arm gap."""
+    distance_a = (total_km - delta_km) / 2.0
+    return distance_a, distance_a + delta_km
+
+
 def oi_problem(total_km: float, delta_km: float, lam: float, e_d: float) -> OptimizationProblem:
     """The OI problem at a total distance and arm gap: the shorter arm is
     (total - gap) / 2 and the gap sets the transmittance ratio."""
     params = SystemParams(e_d=e_d)
     delta = 10.0 ** (params.alpha * delta_km / 10.0)
-    return OptimizationProblem((total_km - delta_km) / 2.0, delta, lam, params)
+    return OptimizationProblem(_arms(total_km, delta_km)[0], delta, lam, params)
+
+
+def af_problem(total_km: float, delta_km: float, lam: float, e_d: float) -> OptimizationProblem:
+    """The adding-fiber (AF) problem at a total distance and arm gap: fiber
+    pads the shorter arm to the longer one, so both arms are that long."""
+    return OptimizationProblem(_arms(total_km, delta_km)[1], 1.0, lam, SystemParams(e_d=e_d))
 
 
 def _problem(task: tuple) -> OptimizationProblem | None:
     """The problem whose optimum sets a task's intensities, None for PLOB and
-    fixed intensity; AF pads the shorter arm to the longer one."""
+    fixed intensity."""
     total_km, delta_km, lam, e_d, method, _ = task
     if method == "OI":
         return oi_problem(total_km, delta_km, lam, e_d)
     if method == "AF":
-        distance_b = (total_km - delta_km) / 2.0 + delta_km
-        return OptimizationProblem(distance_b, 1.0, lam, SystemParams(e_d=e_d))
+        return af_problem(total_km, delta_km, lam, e_d)
     return None
 
 
@@ -283,8 +295,7 @@ def _row(task: tuple, optima: dict[OptimizationProblem, OptimumReport]) -> Resul
     """The row of one (geometry, interval, misalignment, method) task."""
     total_km, delta_km, lam, e_d, method, mu_fixed = task
     params = SystemParams(e_d=e_d)
-    distance_a = (total_km - delta_km) / 2.0
-    distance_b = distance_a + delta_km
+    distance_a, distance_b = _arms(total_km, delta_km)
     plob = plob_bound(total_km, params)
     plob_det = plob_bound(total_km, params, include_detector=True)
     head = (total_km, distance_a, distance_b, delta_km, lam, e_d, method)

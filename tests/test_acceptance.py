@@ -27,12 +27,12 @@ from mpqkd.model import (
 from mpqkd.montecarlo import estimate_statistics, pair_clicks, sift_and_map, simulate_rounds
 from mpqkd.optimize import (
     OptimizationProblem,
-    adding_fiber_rate,
     closed_form_asymptotic,
     optimize_intensities,
     plob_bound,
 )
-from mpqkd.sweep import oi_problem
+from mpqkd.sweep import af_problem, oi_problem
+from oracles import LinearizedProblem
 
 PARAMS = SystemParams()
 
@@ -128,7 +128,7 @@ def test_criterion_05_closed_form_oracle():
     worst = 0.0
     for delta in (1.0, 2.0, 10.0, 100.0):
         report = optimize_intensities(
-            OptimizationProblem(100.0, delta, math.inf, SystemParams(p_d=0.0), linearized=True)
+            LinearizedProblem(100.0, delta, math.inf, SystemParams(p_d=0.0))
         )
         mu_a, mu_b = closed_form_asymptotic(delta, "lambda_infinite")
         err = max(abs(report.mu_a_star - mu_a), abs(report.mu_b_star - mu_b))
@@ -138,9 +138,7 @@ def test_criterion_05_closed_form_oracle():
 
 
 def test_criterion_06_unit_interval_limit():
-    report = optimize_intensities(
-        OptimizationProblem(100.0, 1.0, 1, SystemParams(p_d=0.0), linearized=True)
-    )
+    report = optimize_intensities(LinearizedProblem(100.0, 1.0, 1, SystemParams(p_d=0.0)))
     err = max(abs(report.mu_a_star - 1.0), abs(report.mu_b_star - 1.0))
     _criterion(6, "unit-interval-boundary-limit", err <= 1e-3, f"distance to (1,1) {err:.2e}")
 
@@ -181,9 +179,8 @@ def test_criterion_08_method_dominance_and_150km_gap_reach():
     dominance = True
     for delta_km in (50.0, 100.0, 150.0):
         for total in np.arange(delta_km + 20.0, 401.0, 25.0):
-            problem = oi_problem(total, delta_km, 1e6, PARAMS.e_d)
-            oi = optimize_intensities(problem).r_star
-            af = adding_fiber_rate(problem)
+            oi = _oi_rate(total, delta_km, 1e6)
+            af = optimize_intensities(af_problem(total, delta_km, 1e6, PARAMS.e_d)).r_star
             if oi > 0.0 and af > 0.0:
                 dominance &= oi > af
     reach = False

@@ -572,6 +572,21 @@ class TestLinearProgram:
             obs = expected_observables(sc, cfg)
             assert bound_single_photon(obs, cfg) == oracle_bounds(obs, cfg), p_d
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open defect (ROADMAP item 1): the LP's Poisson weights fall far below HiGHS's "
+        "small_matrix_value, which drops them, so HiGHS solves a different LP",
+    )
+    def test_highs_keeps_every_matrix_entry(self):
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        for basis in basis_observables(expected_observables(sc, cfg), cfg):
+            for _, matrix, _, _, _, options_set in decoy_lp_inputs(*basis):
+                threshold = options_set.get(
+                    "small_matrix_value", _core.HighsOptions().small_matrix_value
+                )
+                assert np.min(np.abs(matrix.data)) >= threshold
+
     def test_sparse_matrix_without_scalar_weights(self):
         sc = reference_scenario()
         cfg = decoy_config_for(sc)

@@ -28,6 +28,7 @@ from mpqkd.model import (
     transmittance_from_distance,
     x_gain_and_phase_error,
 )
+from oracles import chain_pairing_rate
 
 PARAMS = SystemParams()
 NO_DARK = SystemParams(p_d=0.0)
@@ -257,6 +258,14 @@ class TestPairingRate:
             pairing_rate(1.1, 10)
         with pytest.raises(ValueError):
             pairing_rate(0.5, 0.5)
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 10, 100, 1000])
+    def test_matches_stationary_pairing_chain(self, lam):
+        # the closed form against the pairing rule solved as a Markov chain
+        for p in (1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9):
+            assert pairing_rate(p, float(lam)) == pytest.approx(
+                chain_pairing_rate(p, lam), rel=1e-12, abs=0.0
+            ), p
 
     @pytest.mark.parametrize("p", [1e-4, 1e-3, 0.05, 0.3, 0.9])
     def test_nondecreasing_in_interval_bounded_by_half_p(self, p):

@@ -1,22 +1,24 @@
 """Tests for intensity optimization, closed forms and baselines."""
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpqkd import optimize
-from mpqkd.model import SystemParams, key_rate
+from mpqkd.model import SystemParams, key_rate, transmittance_from_distance
 from mpqkd.optimize import (
     _GRID_TIE_TOL,
     OptimizationProblem,
     _grid_scan,
-    adding_fiber_rate,
     closed_form_asymptotic,
     optimize_intensities,
     plob_bound,
 )
+from mpqkd.sweep import af_problem, oi_problem
+from oracles import LinearizedProblem
 
 PARAMS = SystemParams()
 
@@ -44,11 +46,19 @@ class TestProblemValidation:
             OptimizationProblem(100.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             OptimizationProblem(100.0, 1.0, 2.5)
+        for distance_a in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="arm length must be finite"):
+                OptimizationProblem(distance_a, 10.0, 1e6)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="transmittance ratio must be finite"):
+                OptimizationProblem(100.0, delta, 1e6)
 
     def test_arm_b_length_follows_ratio(self):
         problem = OptimizationProblem(100.0, 10.0, 1e6)
         # one decade of transmittance ratio is 50 km at 0.2 dB/km
-        assert problem.distance_b_km() == pytest.approx(150.0, rel=1e-12)
+        assert problem.scenario(1.0, 1.0).eta_b == pytest.approx(
+            transmittance_from_distance(150.0, PARAMS), rel=1e-12
+        )
 
 
 class TestOptimizerAgainstTables:
@@ -89,9 +99,7 @@ class TestOptimizerAgainstTables:
         assert abs(g_b) < 1e-6 * report.r_star
 
     def test_beyond_cutoff_reports_nonconverged_zero(self):
-        report = optimize_intensities(
-            OptimizationProblem(900.0, 1.0, 1e6), grid_resolution=16
-        )
+        report = optimize_intensities(OptimizationProblem(900.0, 1.0, 1e6))
         assert report.r_star == 0.0
         assert not report.converged
 
@@ -130,12 +138,12 @@ class TestGridScan:
             OptimizationProblem(100.0, 100.0, math.inf, SystemParams(p_d=1e-4)),
             OptimizationProblem(244.306, 1.0, 1e6),  # best grid rate ~1.2e-12
             OptimizationProblem(250.0, 1.0, 1e6),  # beyond the cutoff: all zero
-            OptimizationProblem(100.0, 10.0, math.inf, linearized=True),
+            LinearizedProblem(100.0, 10.0, math.inf),  # the oracle's per-point grid
         ],
         ids=["interior", "corner", "dark", "near-cutoff", "all-zero", "linearized"],
     )
     def test_matches_per_point_scan(self, problem):
-        assert _grid_scan(problem, 64) == per_point_grid_scan(problem.rate, 64)
+        assert _grid_scan(problem) == per_point_grid_scan(problem.rate, 64)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -146,7 +154,8 @@ class TestGridScan:
     )
     def test_matches_per_point_scan_randomized(self, distance_a, delta, lam, p_d):
         problem = OptimizationProblem(distance_a, delta, lam, SystemParams(p_d=p_d))
-        assert _grid_scan(problem, 16) == per_point_grid_scan(problem.rate, 16)
+        with mock.patch.object(optimize, "_GRID_RESOLUTION", 16):
+            assert _grid_scan(problem) == per_point_grid_scan(problem.rate, 16)
 
 
 class TestClosedForm:
@@ -179,14 +188,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("delta", [1.0, 2.0, 10.0, 100.0])
     def test_optimizer_matches_closed_form_on_linearized_model(self, delta):
-        problem = OptimizationProblem(100.0, delta, math.inf, linearized=True)
+        problem = LinearizedProblem(100.0, delta, math.inf)
         report = optimize_intensities(problem)
         mu_a, mu_b = closed_form_asymptotic(delta, "lambda_infinite")
         assert report.mu_a_star == pytest.approx(mu_a, abs=1e-6)
         assert report.mu_b_star == pytest.approx(mu_b, abs=1e-6)
 
     def test_optimizer_hits_boundary_on_linearized_unit_interval(self):
-        report = optimize_intensities(OptimizationProblem(100.0, 1.0, 1, linearized=True))
+        report = optimize_intensities(LinearizedProblem(100.0, 1.0, 1))
         assert report.mu_a_star == pytest.approx(1.0, abs=1e-3)
         assert report.mu_b_star == pytest.approx(1.0, abs=1e-3)
 
@@ -217,18 +226,18 @@ class TestPlobBound:
 
 class TestAddingFiber:
     def test_no_gap_matches_symmetric_optimum(self):
-        problem = OptimizationProblem(100.0, 1.0, 1e6)
-        assert adding_fiber_rate(problem) == pytest.approx(
-            optimize_intensities(problem).r_star, rel=1e-9
-        )
+        # without a gap there is nothing to pad: AF is the OI problem
+        assert af_problem(200.0, 0.0, 1e6, PARAMS.e_d) == oi_problem(200.0, 0.0, 1e6, PARAMS.e_d)
 
     def test_padding_evaluates_symmetric_curve_at_padded_length(self):
-        # delta = 10 is a 50 km gap: padding gives the 150 km symmetric arms
-        problem = OptimizationProblem(100.0, 10.0, 1e6)
-        symmetric = optimize_intensities(OptimizationProblem(150.0, 1.0, 1e6))
-        assert adding_fiber_rate(problem) == pytest.approx(symmetric.r_star, rel=1e-12)
+        # a 50 km gap at 250 km total: padding gives the 150 km symmetric arms
+        padded = af_problem(250.0, 50.0, 1e6, PARAMS.e_d)
+        assert padded == OptimizationProblem(150.0, 1.0, 1e6, PARAMS)
 
     @pytest.mark.parametrize("delta", [10.0, 100.0, 1000.0])
     def test_never_beats_optimal_intensities(self, delta):
-        problem = OptimizationProblem(100.0, delta, 1e6)
-        assert optimize_intensities(problem).r_star > adding_fiber_rate(problem)
+        # the shorter arm is 100 km; a ratio of 10 is a 50 km gap at 0.2 dB/km
+        gap_km = 50.0 * math.log10(delta)
+        oi = optimize_intensities(oi_problem(200.0 + gap_km, gap_km, 1e6, PARAMS.e_d))
+        af = optimize_intensities(af_problem(200.0 + gap_km, gap_km, 1e6, PARAMS.e_d))
+        assert oi.r_star > af.r_star

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import mpqkd.sweep
@@ -16,7 +17,9 @@ from mpqkd.sweep import (
     CSV_COLUMNS,
     SweepSpec,
     SweepValidationError,
+    af_problem,
     load_spec,
+    oi_problem,
     run_sweep,
     verify_oracles,
     write_rows,
@@ -70,6 +73,13 @@ class TestSpecParsing:
     def test_negative_gap_rejected(self):
         with pytest.raises(SweepValidationError, match="delta_list"):
             load_spec({**CUSTOM_BASE, "delta_list": [-5]})
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf])
+    def test_non_finite_gap_rejected_at_construction(self, gap):
+        # load_spec rejects these as JSON values; a spec built in Python must too
+        base = {**CUSTOM_BASE, "lambda_list": (100.0,), "e_d_list": (0.04,), "methods": ("OI",)}
+        with pytest.raises(SweepValidationError, match="delta_list: gaps must be finite"):
+            SweepSpec(**{**base, "delta_list": (50.0, gap)})
 
     def test_interval_strings_parse(self):
         spec = load_spec({**CUSTOM_BASE, "lambda_list": ["inf", 10]})
@@ -129,6 +139,38 @@ class TestSpecParsing:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(CUSTOM_BASE))
         assert load_spec(str(path)).mode == "custom"
+
+
+class TestProblems:
+    def test_af_problem_is_the_gap_0_oi_problem(self):
+        # every AF task of fig4 and fig5, past-cutoff ones included, and the
+        # acceptance dominance grid: AF at total t and gap g is OI at t + g
+        tasks = [
+            task
+            for mode in ("fig4", "fig5")
+            for curve in mpqkd.sweep._curves(load_spec({"mode": mode}))
+            for point in curve
+            for task in point
+            if task[4] == "AF"
+        ]
+        geometries = [(total, gap, lam, e_d) for total, gap, lam, e_d, _, _ in tasks]
+        geometries += [
+            (total, gap, 1e6, 0.04)
+            for gap in (50.0, 100.0, 150.0)
+            for total in np.arange(gap + 20.0, 401.0, 25.0)
+        ]
+        assert len(geometries) == 868
+        for total, gap, lam, e_d in geometries:
+            assert af_problem(total, gap, lam, e_d) == oi_problem(total + gap, 0.0, lam, e_d)
+
+    def test_af_rows_are_af_problem_optima(self):
+        # the rows hold the optima of the problems that acceptance 08 checks
+        rows = run_sweep(load_spec({**CUSTOM_BASE, "methods": ["AF"]}))
+        assert len(rows) == 2
+        for row in rows:
+            problem = af_problem(row.total_km, row.delta_km, row.lam, row.e_d)
+            optimum = mpqkd.sweep.optimize_intensities(problem)
+            assert (row.mu_a, row.mu_b) == (optimum.mu_a_star, optimum.mu_b_star)
 
 
 class TestRunSweep:
@@ -528,6 +570,10 @@ class TestCli:
         assert main(["verify", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_optimize_rejects_non_finite_arm(self, capsys):
+        assert main(["optimize", "--la", "nan", "--delta", "1", "--lambda", "inf"]) == 1
+        assert "arm length must be finite and > 0 km, got nan" in capsys.readouterr().err
 
     def test_optimize_rejects_unparsable_interval(self, capsys):
         assert main(["optimize", "--la", "100", "--delta", "1", "--lambda", "abc"]) == 1
