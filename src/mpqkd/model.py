@@ -9,11 +9,13 @@ production path.
 The intensity-dependent key-rate chain (the four selector click
 probabilities, p, r_p, r_s, e_z, q_bar_11, H(e_z) and the clamp) has one
 implementation, shared by :func:`key_rate` on floats and
-:func:`key_rate_grid` on arrays.  The math namespace follows the input:
-arrays broadcast through numpy, while Python floats go through ``math``
-(libm), because numpy's exp/expm1/log can differ from libm in the last bit
-and the scalar rates are what the optimizer, the CSV output and the Monte
-Carlo reference values are built from.
+:func:`key_rate_grid` on arrays; its intensity-independent terms are memoized
+per (eta_a, eta_b, params), since an optimization evaluates one arm pair a few
+hundred times.  The math namespace follows the input: arrays broadcast
+through numpy, while Python floats go through ``math`` (libm), because
+numpy's exp/expm1/log can differ from libm in the last bit and the scalar
+rates are what the optimizer, the CSV output and the Monte Carlo reference
+values are built from.
 
 Conventions:
     * An arm transmittance ``eta`` includes the detector efficiency, so a
@@ -24,6 +26,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -296,6 +299,19 @@ def binary_entropy(x):
     return _where(edge, 0.0, -inner * xp.log2(inner) - (1.0 - inner) * xp.log2(1.0 - inner))
 
 
+@functools.lru_cache(maxsize=64)
+def _fixed_terms(eta_a: float, eta_b: float, params: SystemParams) -> tuple[float, ...]:
+    """The key-rate terms independent of the intensities and the interval:
+    pr00, the single-photon Z yields y_same + y_cross, y_11, e_11 and
+    1 - H(e_11)."""
+    arms = Scenario(eta_a, eta_b, 1.0, 1.0, math.inf, params)  # intensities unused
+    y_same = click_prob_given_photons(0, 0, arms) * click_prob_given_photons(1, 1, arms)
+    y_cross = click_prob_given_photons(1, 0, arms) * click_prob_given_photons(0, 1, arms)
+    y_11, e_11 = x_gain_and_phase_error(arms)
+    pr00 = click_prob_given_mean(0.0, params.p_d)
+    return pr00, y_same + y_cross, y_11, e_11, 1.0 - binary_entropy(e_11)
+
+
 def _key_rate_terms(scenario: Scenario, mu_a, mu_b) -> KeyRateBreakdown:
     """The key-rate chain at intensities (mu_a, mu_b), floats or broadcast
     arrays; the arms, interval and parameters come from ``scenario``.
@@ -309,8 +325,8 @@ def _key_rate_terms(scenario: Scenario, mu_a, mu_b) -> KeyRateBreakdown:
     which each party emitted exactly one photon across the two rounds.
     """
     params = scenario.params
+    pr00, y_pairs, y_11, e_11, secret = _fixed_terms(scenario.eta_a, scenario.eta_b, params)
     x_a, x_b = scenario.eta_a * mu_a, scenario.eta_b * mu_b
-    pr00 = click_prob_given_mean(0.0, params.p_d)
     pr01, pr10 = click_prob_given_mean(x_b, params.p_d), click_prob_given_mean(x_a, params.p_d)
     pr11 = click_prob_given_mean(x_a + x_b, params.p_d)
     p = (((pr00 + pr01) + pr10) + pr11) / 4.0
@@ -321,13 +337,10 @@ def _key_rate_terms(scenario: Scenario, mu_a, mu_b) -> KeyRateBreakdown:
     r_p = pairing_rate(p, scenario.lam)
     r_s = 2.0 * pairs / (16.0 * p * p)
     e_z = same / pairs
-    y_same = click_prob_given_photons(0, 0, scenario) * click_prob_given_photons(1, 1, scenario)
-    y_cross = click_prob_given_photons(1, 0, scenario) * click_prob_given_photons(0, 1, scenario)
     xp = _namespace(mu_a)
     weight = mu_a * xp.exp(-mu_a) * mu_b * xp.exp(-mu_b)
-    q_bar = weight * (y_same + y_cross) / pairs
-    y_11, e_11 = x_gain_and_phase_error(scenario)
-    raw = r_p * r_s * (q_bar * (1.0 - binary_entropy(e_11)) - params.f * binary_entropy(e_z))
+    q_bar = weight * y_pairs / pairs
+    raw = r_p * r_s * (q_bar * secret - params.f * binary_entropy(e_z))
     return KeyRateBreakdown(
         p=p,
         r_p=r_p,
@@ -357,7 +370,7 @@ def key_rate_grid(scenario: Scenario, mu_a: np.ndarray, mu_b: np.ndarray) -> np.
     intensities are ignored.  Both views run the same chain: on arrays the
     intensity-dependent terms go through numpy, while the
     intensity-independent ones (the single-photon yields, the X-basis gain
-    and phase error) are computed once per call as floats.  numpy's
+    and phase error) are the memoized floats :func:`key_rate` uses.  numpy's
     exp/expm1/log differ from ``math`` in the last bit on some inputs, so a
     value can differ from ``key_rate(...).rate`` by a few ulps.
     """

@@ -4,10 +4,12 @@ The key-rate surface over (mu_a, mu_b) has a single peak, so a coarse grid
 scan followed by derivative-free simplex refinement locates the global
 maximizer reliably.  The grid is one array evaluation
 (:meth:`OptimizationProblem.rate_grid`); the grid's best rate and the
-refinement use the scalar :meth:`OptimizationProblem.rate`.  A short Newton
-polish on central finite differences sharpens the final point to well below
-the 1e-4 intensity tolerance, which also lets the optimizer reproduce the
-closed-form stationary points of the linearized model to ~1e-9.
+refinement use the scalar :meth:`OptimizationProblem.rate`.  The refinement is
+a bounded Nelder-Mead on Python floats (:func:`_nelder_mead`) that evaluates
+the points scipy's would, in the same order.  A short Newton polish on
+central finite differences sharpens the final point to well below the 1e-4
+intensity tolerance, which also lets the optimizer reproduce the closed-form
+stationary points of the linearized model to ~1e-9.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (
     Scenario,
@@ -66,9 +67,11 @@ class OptimizationProblem:
         if not is_pairing_interval(self.lam):
             raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
 
-    def scenario(self, mu_a: float, mu_b: float) -> Scenario:
         eta_a = transmittance_from_distance(self.distance_a_km, self.params)
-        return Scenario(eta_a, eta_a / self.delta, mu_a, mu_b, self.lam, self.params)
+        object.__setattr__(self, "_etas", (eta_a, eta_a / self.delta))  # once per problem
+
+    def scenario(self, mu_a: float, mu_b: float) -> Scenario:
+        return Scenario(*self._etas, mu_a, mu_b, self.lam, self.params)
 
     def rate(self, mu_a: float, mu_b: float) -> float:
         return key_rate(self.scenario(mu_a, mu_b)).rate
@@ -110,6 +113,73 @@ def _grid_scan(problem: OptimizationProblem) -> tuple[float, float, float]:
     return problem.rate(mu_a, mu_b), mu_a, mu_b
 
 
+class _MaxFev(Exception):
+    """A Nelder-Mead run spent its evaluation budget."""
+
+
+def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int = 500, maxfev: int = 1200):
+    """Minimize f(a, b) over [_MU_MIN, _MU_MAX]^2 from a simplex of three
+    (a, b) tuples; returns the best vertex and the iteration count.
+
+    Step for step this is scipy's bounded Nelder-Mead (reflection 1,
+    expansion 2, contraction and shrink 1/2, vertices above the box reflected
+    into it, every point clipped, at most ``maxfev`` calls of f and
+    ``maxiter`` iterations counted from 1): the same points in the same order.
+    """
+    def clip(a: float, b: float) -> tuple[float, float]:
+        return (min(max(a, _MU_MIN), _MU_MAX), min(max(b, _MU_MIN), _MU_MAX))
+
+    def func(x: tuple[float, float]) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _MaxFev
+        calls += 1
+        return f(*x)
+
+    def order() -> tuple[list, list]:  # stable, as numpy's argsort is on 3 entries
+        ranked = sorted(range(3), key=fsim.__getitem__)
+        return [sim[k] for k in ranked], [fsim[k] for k in ranked]
+
+    def trial(c: float) -> tuple[float, float]:  # (1 + c) centroid - c worst
+        return clip((1.0 + c) * ma - c * a2, (1.0 + c) * mb - c * b2)
+
+    sim = [clip(*(2.0 * _MU_MAX - v if v > _MU_MAX else v for v in x)) for x in simplex]
+    fsim, calls, iterations = [math.inf] * 3, 0, 1
+    try:
+        for k in range(3):
+            fsim[k] = func(sim[k])
+        sim, fsim = order()
+        while calls < maxfev and iterations < maxiter:
+            (a0, b0), (a1, b1), (a2, b2) = sim
+            x_spread = max(abs(a1 - a0), abs(b1 - b0), abs(a2 - a0), abs(b2 - b0))
+            if x_spread <= xatol and max(abs(fsim[0] - fsim[1]), abs(fsim[0] - fsim[2])) <= fatol:
+                break
+            ma, mb = (a0 + a1) / 2, (b0 + b1) / 2  # the centroid of the two best
+            xr = trial(1.0)
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = trial(2.0)
+                fxe = func(xe)
+                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            else:  # contract outside the simplex, or inside it
+                outside = fxr < fsim[2]
+                xc = trial(0.5 if outside else -0.5)
+                fxc = func(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[2]):
+                    sim[2], fsim[2] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in (1, 2):
+                        sim[j] = clip(a0 + 0.5 * (sim[j][0] - a0), b0 + 0.5 * (sim[j][1] - b0))
+                        fsim[j] = func(sim[j])
+            iterations += 1
+            sim, fsim = order()
+    except _MaxFev:
+        sim, fsim = order()
+    return sim[0], iterations
+
+
 def _fd_gradient(rate: Callable[[float, float], float], x: np.ndarray, h: float) -> np.ndarray:
     g = np.zeros(2)
     for k in range(2):
@@ -130,8 +200,7 @@ def _newton_polish(
     cross a bound); steps that leave the box, exceed a trust radius, hit a
     non-concave Hessian or fail to improve the rate are rejected.
     """
-    used = 0
-    fx = rate(x[0], x[1])
+    used, fx = 0, rate(x[0], x[1])
     for _ in range(steps):
         if np.min(x - _MU_MIN) < 10.0 * h or np.min(_MU_MAX - x) < 10.0 * h:
             break
@@ -169,13 +238,8 @@ def _stationary(rate: Callable[[float, float], float], x: np.ndarray, r: float) 
     tol = 1e-6 * max(r, 1e-300)
     g = _fd_gradient(rate, x, 1e-5)
     for k in range(2):
-        at_upper = x[k] >= _MU_MAX - 1e-9
-        at_lower = x[k] <= _MU_MIN + 1e-9
-        if at_upper and g[k] >= -tol:
-            continue
-        if at_lower and g[k] <= tol:
-            continue
-        if abs(g[k]) > tol:
+        at_upper, at_lower = x[k] >= _MU_MAX - 1e-9, x[k] <= _MU_MIN + 1e-9
+        if abs(g[k]) > tol and not (at_upper and g[k] >= -tol or at_lower and g[k] <= tol):
             return False
     return True
 
@@ -184,9 +248,9 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     """Locate the intensities maximizing the key rate for a problem.
 
     Stage 1 scans a uniform grid over (0, 1]^2 to find the basin; stage 2
-    refines with bounded Nelder-Mead plus a Newton polish.  If the rate is
-    zero everywhere on the grid (e.g. beyond the distance cutoff), the report
-    comes back non-converged with r_star == 0.
+    refines with two bounded Nelder-Mead runs (:func:`_nelder_mead`) plus a
+    Newton polish.  If the rate is zero everywhere on the grid (e.g. beyond
+    the distance cutoff), the report comes back non-converged with r_star == 0.
     """
     # Nelder-Mead's start and result, the polish's stencils and the final
     # checks revisit points already evaluated; each is computed once.
@@ -199,35 +263,18 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     # the boundary degenerates under Nelder-Mead's bound clipping and can
     # leave the search stuck along an edge.
     pull = 1.0 / _GRID_RESOLUTION
-    x0 = np.clip(np.array([mu_a0, mu_b0]), _MU_MIN + pull, _MU_MAX - pull)
-    iterations = 0
-    x = x0
-    for simplex_step in (1.0 / (2.0 * _GRID_RESOLUTION), 2e-3):
-        simplex = [x.copy()]
-        for k in range(2):
-            vertex = x.copy()
-            vertex[k] += simplex_step if vertex[k] + simplex_step <= _MU_MAX else -simplex_step
-            simplex.append(vertex)
-        result = minimize(
-            lambda v: -rate(v[0], v[1]),
-            x0=x,
-            method="Nelder-Mead",
-            bounds=[(_MU_MIN, _MU_MAX), (_MU_MIN, _MU_MAX)],
-            options={
-                "xatol": 1e-9,
-                "fatol": 1e-13 * max(r_grid, 1e-300),
-                "maxiter": 500,
-                "maxfev": 1200,
-                "initial_simplex": np.array(simplex),
-            },
-        )
-        iterations += int(result.nit)
-        candidate = np.clip(result.x, _MU_MIN, _MU_MAX)
-        if rate(candidate[0], candidate[1]) >= rate(x[0], x[1]):
+    x = tuple(min(max(v, _MU_MIN + pull), _MU_MAX - pull) for v in (mu_a0, mu_b0))
+    iterations, fatol = 0, 1e-13 * max(r_grid, 1e-300)
+    for step in (1.0 / (2.0 * _GRID_RESOLUTION), 2e-3):
+        a, b = (v + step if v + step <= _MU_MAX else v - step for v in x)
+        simplex = [x, (a, x[1]), (x[0], b)]
+        candidate, nit = _nelder_mead(lambda u, v: -rate(u, v), simplex, 1e-9, fatol)
+        iterations += nit
+        if rate(*candidate) >= rate(*x):
             x = candidate
-    if rate(x[0], x[1]) < r_grid:
-        x = np.array([mu_a0, mu_b0])
-    x, polish_steps = _newton_polish(rate, x)
+    if rate(*x) < r_grid:
+        x = (mu_a0, mu_b0)
+    x, polish_steps = _newton_polish(rate, np.array(x))
     r_star = rate(x[0], x[1])
     return OptimumReport(
         mu_a_star=float(x[0]),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -116,6 +117,8 @@ class SweepSpec:
         grid = (self.distance_start, self.distance_stop, self.distance_step)
         if self.mode == "custom" and None in grid:
             problems.append("distance_start/stop/step: required for custom mode")
+        elif any(v is not None and math.isnan(v) for v in grid):
+            problems.append(f"distance_start/stop/step: must not be NaN, got {grid}")
         elif self.distance_step is not None and self.distance_step <= 0:
             problems.append("distance grid: step must be > 0")
         elif None not in grid[:2] and self.distance_stop < self.distance_start:
@@ -155,12 +158,12 @@ class SweepSpec:
             for name in ("delta_list", "lambda_list", "e_d_list", "methods", "mu_a", "mu_b"):
                 if getattr(self, name) is not None:
                     problems.append(f"{name}: not overridable in preset mode {self.mode!r}")
-        if self.seed < 0:
-            problems.append("seed: must be >= 0")
-        if self.n_rounds < 1:
-            problems.append("n_rounds: must be >= 1")
-        if self.workers < 1:
-            problems.append("workers: must be >= 1")
+        for name, low in (("seed", 0), ("n_rounds", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                problems.append(f"{name}: must be an integer, got {value!r}")
+            elif value < low:
+                problems.append(f"{name}: must be >= {low}")
         if problems:
             raise SweepValidationError("; ".join(problems))
 
@@ -208,11 +211,8 @@ def _is_number(value: Any) -> bool:
 
 def _type_problem(name: str, value: Any) -> str | None:
     """Why a spec value has the wrong JSON type for its key, or None."""
-    if name in ("seed", "n_rounds", "workers"):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        return None if ok else f"{name}: must be an integer, got {value!r}"
-    if value is None or name == "mode":
-        return None  # optional keys; the mode is checked against MODES
+    if value is None or name in ("mode", "seed", "n_rounds", "workers"):
+        return None  # optional keys; SweepSpec checks the mode and the integers
     if name == "out":
         return None if isinstance(value, str) else f"out: must be a path string, got {value!r}"
     if name == "methods":

@@ -1,9 +1,21 @@
-"""Test oracles shared by the test modules: objectives and models that the
-package itself does not ship."""
+"""Test oracles shared by the test modules: objectives, models and
+optimizers that the package itself does not ship."""
+import functools
+
 import numpy as np
+from scipy.optimize import minimize
 
 from mpqkd.model import linearized_key_rate
-from mpqkd.optimize import OptimizationProblem
+from mpqkd.optimize import (
+    _GRID_RESOLUTION,
+    _MU_MAX,
+    _MU_MIN,
+    OptimizationProblem,
+    OptimumReport,
+    _grid_scan,
+    _newton_polish,
+    _stationary,
+)
 
 
 class LinearizedProblem(OptimizationProblem):
@@ -67,3 +79,59 @@ def chain_pairing_rate(p: float, lam: int) -> float:
     """Pairs formed per round in the stationary pairing chain: the mass of the
     pending states times the click probability that pairs them."""
     return p * stationary_distribution(pairing_chain(p, lam))[1:].sum()
+
+
+def scipy_nelder_mead(f, simplex, xatol, fatol, maxiter=500, maxfev=1200):
+    """scipy's bounded Nelder-Mead on f(a, b) over [_MU_MIN, _MU_MAX]^2 from an
+    initial simplex, as the optimizer called it before it had its own loop."""
+    x0 = np.clip(np.array(simplex[0], dtype=float), _MU_MIN, _MU_MAX)
+    return minimize(
+        lambda v: f(v[0], v[1]),
+        x0=x0,
+        method="Nelder-Mead",
+        bounds=[(_MU_MIN, _MU_MAX), (_MU_MIN, _MU_MAX)],
+        options={
+            "xatol": xatol,
+            "fatol": fatol,
+            "maxiter": maxiter,
+            "maxfev": maxfev,
+            "initial_simplex": np.array(simplex, dtype=float),
+        },
+    )
+
+
+def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
+    """:func:`mpqkd.optimize.optimize_intensities` with its refinement on
+    scipy's ``minimize(method="Nelder-Mead")`` and numpy arrays, the way it
+    ran before the module had its own Nelder-Mead loop."""
+    rate = functools.cache(problem.rate)
+    r_grid, mu_a0, mu_b0 = _grid_scan(problem)
+    if r_grid <= 0.0:
+        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False)
+    pull = 1.0 / _GRID_RESOLUTION
+    x = np.clip(np.array([mu_a0, mu_b0]), _MU_MIN + pull, _MU_MAX - pull)
+    iterations = 0
+    for simplex_step in (1.0 / (2.0 * _GRID_RESOLUTION), 2e-3):
+        simplex = [x.copy()]
+        for k in range(2):
+            vertex = x.copy()
+            vertex[k] += simplex_step if vertex[k] + simplex_step <= _MU_MAX else -simplex_step
+            simplex.append(vertex)
+        result = scipy_nelder_mead(
+            lambda a, b: -rate(a, b), simplex, 1e-9, 1e-13 * max(r_grid, 1e-300)
+        )
+        iterations += int(result.nit)
+        candidate = np.clip(result.x, _MU_MIN, _MU_MAX)
+        if rate(candidate[0], candidate[1]) >= rate(x[0], x[1]):
+            x = candidate
+    if rate(x[0], x[1]) < r_grid:
+        x = np.array([mu_a0, mu_b0])
+    x, polish_steps = _newton_polish(rate, x)
+    r_star = rate(x[0], x[1])
+    return OptimumReport(
+        mu_a_star=float(x[0]),
+        mu_b_star=float(x[1]),
+        r_star=float(r_star),
+        iterations=iterations + polish_steps,
+        converged=_stationary(rate, x, r_star),
+    )

@@ -415,6 +415,27 @@ class TestKeyRate:
         )
         assert lin.rate == pytest.approx(expected, rel=1e-12)
 
+    def test_memo_cold_and_warm_give_equal_breakdowns(self):
+        # the same arms under two parameter sets, and a second arm pair
+        scenarios = [
+            scenario_at(80.0, 140.0, 0.24, 0.76),
+            scenario_at(80.0, 140.0, 0.24, 0.76, params=SystemParams(p_d=1e-4, e_d=0.1)),
+            scenario_at(20.0, 20.0, 0.5, 0.5, lam=1.0),
+        ]
+        axis = np.linspace(0.05, 1.0, 5)
+        cold = []
+        for sc in scenarios:
+            mpqkd.model._fixed_terms.cache_clear()
+            cold.append((key_rate(sc), key_rate_grid(sc, axis[:, None], axis)))
+        mpqkd.model._fixed_terms.cache_clear()
+        for _ in range(2):  # the second pass reads every term from the memo
+            for sc, (breakdown, grid) in zip(scenarios, cold):
+                assert key_rate(sc) == breakdown
+                assert np.array_equal(key_rate_grid(sc, axis[:, None], axis), grid)
+        info = mpqkd.model._fixed_terms.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        assert info.maxsize is not None and info.maxsize <= 256
+
     def test_intensity_prior_weights_sum_to_one(self):
         # the four selector vectors are equally likely
         total = 4 * (1.0 / 4.0)

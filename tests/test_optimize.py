@@ -1,5 +1,6 @@
 """Tests for intensity optimization, closed forms and baselines."""
 import math
+import random
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,14 +12,18 @@ from mpqkd import optimize
 from mpqkd.model import SystemParams, key_rate, transmittance_from_distance
 from mpqkd.optimize import (
     _GRID_TIE_TOL,
+    _MU_MAX,
+    _MU_MIN,
     OptimizationProblem,
+    OptimumReport,
     _grid_scan,
+    _nelder_mead,
     closed_form_asymptotic,
     optimize_intensities,
     plob_bound,
 )
 from mpqkd.sweep import af_problem, oi_problem
-from oracles import LinearizedProblem
+from oracles import LinearizedProblem, scipy_nelder_mead, scipy_optimize_intensities
 
 PARAMS = SystemParams()
 
@@ -127,6 +132,169 @@ class TestOptimizerAgainstTables:
         # the same report when every visit re-evaluates the rate
         monkeypatch.setattr(optimize, "functools", SimpleNamespace(cache=lambda f: f))
         assert optimize_intensities(problem) == report
+
+
+# Optima as the scipy-backed refinement gave them, pinned bit for bit, so any
+# drift in the optimizer's arithmetic fails here and not only in the CSV digests.
+GOLDEN_OPTIMA = {
+    "interior": (
+        OptimizationProblem(100.0, 10.0, 1e6),
+        OptimumReport(0.2401379134248034, 0.7589593206329682, 3.974069770530219e-06, 97, True),
+    ),
+    "lambda-1": (
+        OptimizationProblem(100.0, 10.0, 1),
+        OptimumReport(0.9799893272106875, 0.9960840921424374, 5.0117577680059544e-09, 97, True),
+    ),
+    "lambda-1-corner": (
+        OptimizationProblem(100.0, 1.0, 1),
+        OptimumReport(0.9965774094131081, 0.9965774172470758, 5.093557398762843e-08, 95, True),
+    ),
+    "symmetric-inf": (
+        OptimizationProblem(100.0, 1.0, math.inf),
+        OptimumReport(0.5002447086272053, 0.5002446990037372, 1.7378274839490703e-05, 96, True),
+    ),
+    "cli-example": (
+        OptimizationProblem(80.0, 7.5, 1000),
+        OptimumReport(0.4244441664473245, 0.8465207609978914, 1.009194771440407e-05, 91, True),
+    ),
+    "delta-1000": (
+        OptimizationProblem(50.0, 1000.0, 1e3),
+        OptimumReport(0.18273432152855573, 0.9869982379333067, 4.909403963910798e-07, 101, True),
+    ),
+    "short-arm": (
+        OptimizationProblem(1.0, 1.0, 1e6),
+        OptimumReport(0.5370670635967391, 0.5370670678941546, 0.0017894999945143805, 94, True),
+    ),
+    "e_d-0.12": (
+        OptimizationProblem(150.0, 10.0, 1e4, SystemParams(e_d=0.12)),
+        OptimumReport(0.5044393012593802, 0.8936262803622346, 1.1307257323466519e-07, 103, True),
+    ),
+    "p_d-1e-4": (
+        OptimizationProblem(30.0, 3.0, 1000, SystemParams(p_d=1e-4)),
+        OptimumReport(0.31063403254227995, 0.5304303726828286, 3.79979560076773e-05, 95, True),
+    ),
+    # the rate peaks at ~1.2e-12: the two Nelder-Mead runs take 342 and 330
+    # iterations, and the result is not stationary to tolerance
+    "near-cutoff": (
+        OptimizationProblem(244.306, 1.0, 1e6),
+        OptimumReport(0.39100171329739797, 0.3910017126455189, 1.1882006438662176e-12, 672, False),
+    ),
+    "beyond-cutoff": (
+        OptimizationProblem(250.0, 1.0, 1e6),
+        OptimumReport(0.015625, 0.015625, 0.0, 0, False),
+    ),
+    "far-beyond-cutoff": (
+        OptimizationProblem(900.0, 1.0, 1e6),
+        OptimumReport(0.015625, 0.015625, 0.0, 0, False),
+    ),
+    "p_d-1e-2": (
+        OptimizationProblem(20.0, 3.0, 1000, SystemParams(p_d=1e-2)),
+        OptimumReport(0.015625, 0.015625, 0.0, 0, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_OPTIMA)
+def test_golden_optimum(name):
+    problem, expected = GOLDEN_OPTIMA[name]
+    assert optimize_intensities(problem) == expected
+
+
+def traced(f):
+    """f and the list of points it is called at, in call order, as floats."""
+    points = []
+
+    def g(a, b):
+        points.append((float(a), float(b)))
+        return f(a, b)
+
+    return g, points
+
+
+def smooth_objective(rng: random.Random):
+    """A random smooth function: a tilted quadratic bowl whose minimum may lie
+    outside the box, plus a ripple."""
+    ca, cb = rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3)
+    saa, sbb, sab = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0), rng.uniform(-1.0, 1.0)
+    ripple, freq = rng.uniform(0.0, 0.05), rng.uniform(1.0, 20.0)
+
+    def f(a, b):
+        da, db = a - ca, b - cb
+        wave = ripple * math.sin(freq * a) * math.cos(freq * b)
+        return saa * da * da + sbb * db * db + sab * da * db + wave
+
+    return f
+
+
+def random_simplex(rng: random.Random, kind: str) -> list[tuple[float, float]]:
+    if kind == "scattered":  # vertices above the box are reflected, below it clipped
+        return [(rng.uniform(-0.2, 1.3), rng.uniform(-0.2, 1.3)) for _ in range(3)]
+    step = 10.0 ** rng.uniform(-4.0, -0.5)
+    if kind == "edge":
+        a, b = rng.choice([_MU_MIN, _MU_MAX]), rng.uniform(_MU_MIN, _MU_MAX)
+        a, b = (a, b) if rng.random() < 0.5 else (b, a)
+        step *= rng.choice([1.0, -1.0])
+    else:
+        a, b = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+    return [(a, b), (a + step, b), (a, b + step)]
+
+
+class TestNelderMead:
+    """The module's Nelder-Mead against scipy's, call for call."""
+
+    @pytest.mark.parametrize(
+        "objective, kind",
+        [
+            ("smooth", "interior"),
+            ("smooth", "edge"),
+            ("smooth", "scattered"),
+            ("flat", "interior"),
+            ("flat", "edge"),
+            ("quantized", "scattered"),
+        ],
+    )
+    def test_same_points_as_scipy(self, objective, kind):
+        rng = random.Random(f"{objective}-{kind}")
+        for case in range(40):
+            smooth = smooth_objective(rng)
+            f = {
+                "smooth": smooth,
+                "flat": lambda a, b: 0.0,
+                "quantized": lambda a, b: round(smooth(a, b), 1),  # many ties
+            }[objective]
+            simplex = random_simplex(rng, kind)
+            xatol, fatol = rng.choice([(1e-9, 1e-13), (1e-4, 1e-4), (1e-6, 0.0)])
+            budget = {}
+            if case % 3 == 0:  # small enough to bind
+                budget = {"maxiter": rng.randint(1, 30), "maxfev": rng.randint(1, 60)}
+            ours, ours_points = traced(f)
+            theirs, their_points = traced(f)
+            x, nit = _nelder_mead(ours, simplex, xatol, fatol, **budget)
+            result = scipy_nelder_mead(theirs, simplex, xatol, fatol, **budget)
+            label = f"case {case}: simplex {simplex}, budget {budget}"
+            assert ours_points == their_points, label
+            assert x == (float(result.x[0]), float(result.x[1])), label
+            assert nit == result.nit, label
+
+    def test_budget_counts_every_call(self):
+        f, points = traced(lambda a, b: a + b)
+        simplex = [(0.5, 0.5), (0.6, 0.5), (0.5, 0.6)]
+        _nelder_mead(f, simplex, 0.0, 0.0, maxiter=10_000, maxfev=7)
+        assert len(points) == 7
+
+
+def test_optimum_equals_scipy_refinement():
+    """The optimizer gives the report its scipy-backed form gives, on random
+    problems across geometry, interval, dark counts and misalignment."""
+    rng = random.Random(17)
+    for _ in range(300):
+        problem = OptimizationProblem(
+            rng.uniform(1.0, 250.0),
+            10.0 ** rng.uniform(0.0, 3.0),
+            rng.choice([1.0, 2.0, 10.0, 1e3, 1e6, math.inf]),
+            SystemParams(p_d=10.0 ** rng.uniform(-10.0, -3.0), e_d=rng.uniform(0.0, 0.15)),
+        )
+        assert optimize_intensities(problem) == scipy_optimize_intensities(problem), problem
 
 
 class TestGridScan:

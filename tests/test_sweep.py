@@ -81,6 +81,34 @@ class TestSpecParsing:
         with pytest.raises(SweepValidationError, match="delta_list: gaps must be finite"):
             SweepSpec(**{**base, "delta_list": (50.0, gap)})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("workers", math.nan),
+            ("seed", math.nan),
+            ("n_rounds", math.nan),
+            ("workers", 1.5),
+            ("seed", 2.5),
+            ("n_rounds", 1e6),
+            ("workers", True),
+            ("seed", "3"),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(SweepValidationError, match=f"{name}: must be an integer, got"):
+            SweepSpec(mode="table2", **{name: value})
+
+    def test_integer_counts_accepted(self):
+        spec = SweepSpec(mode="table2", workers=np.int64(2), seed=np.int32(0), n_rounds=10)
+        assert (spec.workers, spec.seed, spec.n_rounds) == (2, 0, 10)
+
+    @pytest.mark.parametrize("name", ["distance_start", "distance_stop", "distance_step"])
+    def test_nan_grid_bound_rejected_for_itself(self, name):
+        with pytest.raises(SweepValidationError) as error:
+            SweepSpec(mode="table2", **{name: math.nan})
+        assert "distance_start/stop/step: must not be NaN" in str(error.value)
+        assert "a grid holds" not in str(error.value)
+
     def test_interval_strings_parse(self):
         spec = load_spec({**CUSTOM_BASE, "lambda_list": ["inf", 10]})
         assert spec.lambda_list == (math.inf, 10.0)
