@@ -22,17 +22,14 @@ rounds, so X pairs factor the same way.  No photon-number sum is truncated.
 """
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from types import ModuleType
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import OptimizeResult
-
-# scipy's own HiGHS bindings (scipy >= 1.15).  A private module, imported here
-# so that a scipy without it fails at import, not in the middle of a sweep.
-from scipy.optimize._highspy import _core
 
 from .model import (
     Scenario,
@@ -41,6 +38,10 @@ from .model import (
     click_prob_given_mean,
     click_prob_given_photons,
 )
+
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
+    from scipy.sparse import csc_matrix
 
 __all__ = [
     "ObservablesInconsistentError",
@@ -67,26 +68,6 @@ _K_MAX = 20
 # product rounds like the integer one.
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(_K_MAX + 1)])
 _FACTORIAL_PAIRS = np.multiply.outer(_FACTORIALS, _FACTORIALS)
-# The options scipy's linprog(method="highs") sets when given no others.
-_HIGHS_OPTIONS = {
-    "presolve": "on",
-    "highs_debug_level": _core.HighsDebugLevel.kHighsDebugLevelNone,
-    "log_to_console": False,
-    "output_flag": False,
-    "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
-}
-# linprog's status codes; every other HiGHS model status maps to 4.
-_MODEL_STATUS = _core.HighsModelStatus
-_LINPROG_STATUS = {
-    _MODEL_STATUS.kOptimal: 0,
-    _MODEL_STATUS.kTimeLimit: 1,
-    _MODEL_STATUS.kIterationLimit: 1,
-    _MODEL_STATUS.kInfeasible: 2,
-    _MODEL_STATUS.kModelError: 2,
-    _MODEL_STATUS.kUnbounded: 3,
-}
-
-
 class ObservablesInconsistentError(RuntimeError):
     """No channel is consistent with the supplied observables (infeasible LP)."""
 
@@ -320,9 +301,63 @@ class DecoyBounds:
     phase_error_upper: float | None
 
 
+class _HiGHS(NamedTuple):
+    """scipy's HiGHS core, with what the decoy LPs take from scipy around it."""
+
+    core: ModuleType
+    csc_matrix: type  # scipy.sparse.csc_matrix
+    result: type  # scipy.optimize.OptimizeResult
+    options: dict[str, object]  # linprog(method="highs")'s default options
+    status: dict[object, int]  # linprog's status code per HiGHS model status
+
+
+@functools.cache
+def load_highs() -> _HiGHS:
+    """scipy's own HiGHS bindings (scipy >= 1.15), loaded with the first LP.
+
+    scipy.optimize and scipy.sparse were most of the package's import time
+    when it loaded them at import, and only the decoy LPs use them, so
+    ``import mpqkd``, ``run`` and ``optimize`` load numpy only.  The core is
+    a private module: a scipy without it raises ImportError here, which
+    ``verify_oracles`` calls before its first point.
+    """
+    try:
+        core = importlib.import_module("scipy.optimize._highspy._core")
+    except ImportError as exc:
+        raise ImportError(
+            "decoy LPs need scipy>=1.15, whose HiGHS core is scipy.optimize._highspy._core"
+        ) from exc
+    from scipy.optimize import OptimizeResult
+    from scipy.sparse import csc_matrix
+
+    model_status = core.HighsModelStatus
+    return _HiGHS(
+        core,
+        csc_matrix,
+        OptimizeResult,
+        # The options scipy's linprog(method="highs") sets when given no others.
+        options={
+            "presolve": "on",
+            "highs_debug_level": core.HighsDebugLevel.kHighsDebugLevelNone,
+            "log_to_console": False,
+            "output_flag": False,
+            "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+        },
+        # Every other HiGHS model status maps to 4.
+        status={
+            model_status.kOptimal: 0,
+            model_status.kTimeLimit: 1,
+            model_status.kIterationLimit: 1,
+            model_status.kInfeasible: 2,
+            model_status.kModelError: 2,
+            model_status.kUnbounded: 3,
+        },
+    )
+
+
 def linprog(
     c: np.ndarray,
-    A_ub: sparse.csc_matrix,
+    A_ub: csc_matrix,
     b_ub: np.ndarray,
     bounds: np.ndarray,
     options: Mapping[str, object] | None = None,
@@ -339,10 +374,12 @@ def linprog(
     holds ``x`` (None unless optimal), linprog's ``status`` code,
     ``success`` and ``message``.
     """
-    lp = _core.HighsLp()
+    scipy_highs = load_highs()
+    core = scipy_highs.core
+    lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     # The matrix fields copy element by element; from a list that is twice
     # as fast as from an array, and HiGHS gets the same numbers.
     lp.a_matrix_.start_ = A_ub.indptr.tolist()
@@ -350,24 +387,24 @@ def linprog(
     lp.a_matrix_.value_ = A_ub.data.tolist()
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = bounds.T
-    lp.row_lower_ = np.full(len(b_ub), -_core.kHighsInf)
+    lp.row_lower_ = np.full(len(b_ub), -core.kHighsInf)
     lp.row_upper_ = b_ub
 
-    highs_options = _core.HighsOptions()
-    for key, value in {**_HIGHS_OPTIONS, **(options or {})}.items():
+    highs_options = core.HighsOptions()
+    for key, value in {**scipy_highs.options, **(options or {})}.items():
         setattr(highs_options, key, value)
-    highs = _core._Highs()
-    if highs.passOptions(highs_options) == _core.HighsStatus.kError:
+    highs = core._Highs()
+    if highs.passOptions(highs_options) == core.HighsStatus.kError:
         model_status = highs.getModelStatus()
-    elif highs.passModel(lp) == _core.HighsStatus.kError:
-        model_status = _MODEL_STATUS.kModelError
+    elif highs.passModel(lp) == core.HighsStatus.kError:
+        model_status = core.HighsModelStatus.kModelError
     else:
         highs.run()
         model_status = highs.getModelStatus()
-    optimal = model_status == _MODEL_STATUS.kOptimal
-    return OptimizeResult(
+    optimal = model_status == core.HighsModelStatus.kOptimal
+    return scipy_highs.result(
         x=np.array(highs.getSolution().col_value) if optimal else None,
-        status=_LINPROG_STATUS.get(model_status, 4),
+        status=scipy_highs.status.get(model_status, 4),
         success=optimal,
         message=highs.modelStatusToString(model_status),
     )
@@ -443,7 +480,7 @@ def _solve_basis_lp(
     rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
     order = np.lexsort((rows, cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_vars))])
-    a_ub = sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n_rows, n_vars))
+    a_ub = load_highs().csc_matrix((vals[order], rows[order], indptr), shape=(n_rows, n_vars))
     upper = np.concatenate([np.ones(2 * n), tails, tails]) / unit
     bounds = np.column_stack([np.zeros(n_vars), upper])
 

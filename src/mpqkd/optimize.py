@@ -68,7 +68,13 @@ class OptimizationProblem:
             raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
 
         eta_a = transmittance_from_distance(self.distance_a_km, self.params)
-        object.__setattr__(self, "_etas", (eta_a, eta_a / self.delta))  # once per problem
+        eta_b = eta_a / self.delta
+        if eta_b == 0.0:  # eta_b <= eta_a, so this catches eta_a == 0 too
+            raise ValueError(
+                f"arm transmittance underflows to 0 at arm length {self.distance_a_km} km "
+                f"and transmittance ratio {self.delta} (eta_a = {eta_a}, eta_b = {eta_b})"
+            )
+        object.__setattr__(self, "_etas", (eta_a, eta_b))  # once per problem
 
     def scenario(self, mu_a: float, mu_b: float) -> Scenario:
         return Scenario(*self._etas, mu_a, mu_b, self.lam, self.params)
@@ -92,23 +98,36 @@ class OptimumReport:
     converged: bool
 
 
+def _grid_best(rates: np.ndarray) -> int:
+    """Index of the first rate that no later one beats by more than the tie
+    tolerance: scanning in order, a rate wins only if it beats the running
+    best by more than ``_GRID_TIE_TOL``, so ties keep the earlier index.
+
+    The running best never falls more than the tolerance below the running
+    maximum, so only a strict new running maximum can win; the scan visits
+    those alone.  NaN never wins, and index 0 wins if nothing does.
+    """
+    before = np.fmax.accumulate(np.concatenate(([-math.inf], rates[:-1])))
+    candidates = np.flatnonzero(rates > before)
+    best, k_best = -math.inf, 0
+    for k, r in zip(candidates.tolist(), rates[candidates].tolist()):
+        if r > best + _GRID_TIE_TOL:
+            best, k_best = r, k
+    return k_best
+
+
 def _grid_scan(problem: OptimizationProblem) -> tuple[float, float, float]:
     """Best point of a uniform grid over (0, 1]^2, with its scalar rate.
 
-    The grid is one ``rate_grid`` call.  A later point wins only if it beats
-    the running best by more than the tie tolerance, so ties keep the
-    smaller mu_a (then smaller mu_b) for deterministic output.  The returned
-    rate is the scalar one at the chosen point, the value the refinement
-    compares against.
+    The grid is one ``rate_grid`` call, scanned in row-major order by
+    :func:`_grid_best`, so ties keep the smaller mu_a (then smaller mu_b)
+    for deterministic output.  The returned rate is the scalar one at the
+    chosen point, the value the refinement compares against.
     """
     resolution = _GRID_RESOLUTION
     mu = [i / resolution for i in range(1, resolution + 1)]
     axis = np.array(mu)
-    rates = problem.rate_grid(axis[:, None], axis).ravel().tolist()
-    best, k_best = -math.inf, 0
-    for k, r in enumerate(rates):
-        if r > best + _GRID_TIE_TOL:
-            best, k_best = r, k
+    k_best = _grid_best(problem.rate_grid(axis[:, None], axis).ravel())
     mu_a, mu_b = mu[k_best // resolution], mu[k_best % resolution]
     return problem.rate(mu_a, mu_b), mu_a, mu_b
 

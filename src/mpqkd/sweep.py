@@ -27,6 +27,7 @@ from .decoy import (
     decoy_config_for,
     decoy_key_rate,
     expected_observables,
+    load_highs,
     single_photon_z_error_yield,
     single_photon_z_yield,
 )
@@ -464,7 +465,10 @@ def verify_oracles(spec: SweepSpec) -> list[dict[str, Any]]:
 
     Statistical checks compare within 3 reference standard errors; failures
     are reported, not raised.  Point k simulates on stream k of the seed.
+    The decoy LPs' solver is loaded first, so a scipy without it fails
+    before any point is evaluated.
     """
+    load_highs()
     params = SystemParams(e_d=spec.e_d_list[0] if spec.e_d_list else _E_D)
     report: list[dict[str, Any]] = []
     for point_index, (total, delta_km, lam) in enumerate(_verification_points(spec)):

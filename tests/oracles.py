@@ -1,6 +1,7 @@
 """Test oracles shared by the test modules: objectives, models and
 optimizers that the package itself does not ship."""
 import functools
+import math
 
 import numpy as np
 from scipy.optimize import minimize
@@ -8,6 +9,7 @@ from scipy.optimize import minimize
 from mpqkd.model import linearized_key_rate
 from mpqkd.optimize import (
     _GRID_RESOLUTION,
+    _GRID_TIE_TOL,
     _MU_MAX,
     _MU_MIN,
     OptimizationProblem,
@@ -31,6 +33,17 @@ class LinearizedProblem(OptimizationProblem):
         mu_a, mu_b = np.broadcast_arrays(mu_a, mu_b)
         rates = [self.rate(a, b) for a, b in zip(mu_a.ravel().tolist(), mu_b.ravel().tolist())]
         return np.array(rates).reshape(mu_a.shape)
+
+
+def loop_grid_best(rates) -> int:
+    """The grid scan's choice as one Python loop over every rate, the way
+    :func:`mpqkd.optimize._grid_scan` made it before it skipped the rates
+    that are no new running maximum."""
+    best, k_best = -math.inf, 0
+    for k, r in enumerate(np.asarray(rates).tolist()):
+        if r > best + _GRID_TIE_TOL:
+            best, k_best = r, k
+    return k_best
 
 
 def pairing_chain(p: float, lam: int) -> np.ndarray:

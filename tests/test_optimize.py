@@ -1,9 +1,12 @@
 """Tests for intensity optimization, closed forms and baselines."""
+import itertools
 import math
 import random
+import re
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from mpqkd.optimize import (
     _MU_MIN,
     OptimizationProblem,
     OptimumReport,
+    _grid_best,
     _grid_scan,
     _nelder_mead,
     closed_form_asymptotic,
@@ -23,7 +27,12 @@ from mpqkd.optimize import (
     plob_bound,
 )
 from mpqkd.sweep import af_problem, oi_problem
-from oracles import LinearizedProblem, scipy_nelder_mead, scipy_optimize_intensities
+from oracles import (
+    LinearizedProblem,
+    loop_grid_best,
+    scipy_nelder_mead,
+    scipy_optimize_intensities,
+)
 
 PARAMS = SystemParams()
 
@@ -57,6 +66,18 @@ class TestProblemValidation:
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="transmittance ratio must be finite"):
                 OptimizationProblem(100.0, delta, 1e6)
+
+    @pytest.mark.parametrize(
+        "distance_a, delta",
+        [(20000.0, 1.0), (1000.0, 1e308)],
+        ids=["both-arms", "longer-arm"],
+    )
+    def test_rejects_transmittance_underflow(self, distance_a, delta):
+        # eta_a == 0, or eta_a > 0 with eta_a / delta == 0
+        message = f"underflows to 0 at arm length {distance_a} km and transmittance ratio {delta}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizationProblem(distance_a, delta, 100.0)
+        OptimizationProblem(1000.0, 1e200, 100.0)  # eta_b ~ 2e-301 is no underflow
 
     def test_arm_b_length_follows_ratio(self):
         problem = OptimizationProblem(100.0, 10.0, 1e6)
@@ -324,6 +345,43 @@ class TestGridScan:
         problem = OptimizationProblem(distance_a, delta, lam, SystemParams(p_d=p_d))
         with mock.patch.object(optimize, "_GRID_RESOLUTION", 16):
             assert _grid_scan(problem) == per_point_grid_scan(problem.rate, 16)
+
+
+@st.composite
+def near_tie_rates(draw):
+    """Grid rates built to probe the tie rule: a walk on a base in steps of
+    1e-16, so that a rate beats the ones before it by less than, about or
+    more than _GRID_TIE_TOL, with plateaus, NaN, infinities and arbitrary
+    floats mixed in."""
+    base = draw(st.sampled_from((0.0, 1e-12, 1e-3, 1.0)))
+    steps = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=80))
+    rates = [base + total * 1e-16 for total in itertools.accumulate(steps)]
+    others = st.one_of(
+        st.sampled_from((math.nan, -math.inf, math.inf)), st.floats(allow_nan=True)
+    )
+    for k in draw(st.lists(st.integers(0, len(rates) - 1), max_size=4)):
+        rates[k] = draw(others)
+    return rates
+
+
+class TestGridBest:
+    @settings(max_examples=500, deadline=None)
+    @given(rates=near_tie_rates())
+    def test_same_index_as_the_loop(self, rates):
+        assert _grid_best(np.array(rates)) == loop_grid_best(rates)
+
+    @pytest.mark.parametrize(
+        "rates, expected",
+        [
+            ([1.0, 1.0 + 5e-16, 1.0 + 1.5e-15], 2),  # the last beats the first by > tol
+            ([1.0, 1.0 + 8e-16, 1.0 + 1.6e-15, 1.0 + 2.2e-15], 2),  # a running best lags
+            ([math.nan, -math.inf, math.nan], 0),  # nothing wins
+            ([-math.inf, math.nan, 0.0, 0.0], 2),
+        ],
+        ids=["beyond-tol", "lagging-best", "none-wins", "plateau"],
+    )
+    def test_tie_rule(self, rates, expected):
+        assert _grid_best(np.array(rates)) == loop_grid_best(rates) == expected
 
 
 class TestClosedForm:

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mpqkd.decoy
 import mpqkd.sweep
 from mpqkd.cli import main
 from mpqkd.model import make_scenario
@@ -417,6 +418,19 @@ class TestVerifyOracles:
         assert {"p", "r_p", "r_s", "decoy_bracket", "decoy_rate_bounded"} <= names
         assert all(entry["passed"] for entry in report)
 
+    def test_missing_lp_core_fails_before_any_point(self, monkeypatch):
+        # a scipy older than 1.15 has no HiGHS core: verify stops before it
+        # simulates, not at its first decoy LP
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was simulated")
+
+        monkeypatch.setattr(mpqkd.sweep, "simulate_rounds", unreachable)
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        mpqkd.decoy.load_highs.cache_clear()
+        spec = load_spec({**CUSTOM_BASE, "n_rounds": 1_000})
+        with pytest.raises(ImportError, match=r"scipy>=1\.15.*scipy\.optimize\._highspy\._core"):
+            verify_oracles(spec)
+
     def test_one_point_of_columns_alive_at_a_time(self):
         # Two points of 1e6 rounds each.  Point 0's columns (10 MB) are
         # freed before point 1 simulates, so the whole run peaks where one
@@ -602,6 +616,36 @@ class TestCli:
     def test_optimize_rejects_non_finite_arm(self, capsys):
         assert main(["optimize", "--la", "nan", "--delta", "1", "--lambda", "inf"]) == 1
         assert "arm length must be finite and > 0 km, got nan" in capsys.readouterr().err
+
+    def test_optimize_rejects_transmittance_underflow(self, capsys):
+        assert main(["optimize", "--la", "20000", "--delta", "1", "--lambda", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: arm transmittance underflows to 0 at arm length 20000.0 km" in (
+            captured.err
+        )
+
+    def test_run_rejects_transmittance_underflow_before_the_pool(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 40,000 km totals put 20,000 km on each arm; the two problems would
+        # go to a 2-worker pool, which must not start
+        starts = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                starts.append(max_workers)
+
+        monkeypatch.setattr(mpqkd.sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(mpqkd.sweep, "_cpu_count", lambda: 2)
+        config = tmp_path / "sweep.json"
+        spec = {**CUSTOM_BASE, "distance_start": 40_000, "distance_stop": 40_010, "delta_list": [0]}
+        config.write_text(json.dumps(spec))
+        assert main(["run", "--config", str(config), "--workers", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: arm transmittance underflows to 0" in captured.err
+        assert starts == []
 
     def test_optimize_rejects_unparsable_interval(self, capsys):
         assert main(["optimize", "--la", "100", "--delta", "1", "--lambda", "abc"]) == 1
