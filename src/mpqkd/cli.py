@@ -6,7 +6,9 @@ Subcommands:
     optimize  print the optimal intensities for one channel geometry
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 verification
-failures present.  The MPQKD_SEED environment variable overrides the seed.
+failures present, 4 environment error (a dependency that cannot be imported,
+such as a scipy without the HiGHS core that ``verify`` needs).  The
+MPQKD_SEED environment variable overrides the seed.
 """
 from __future__ import annotations
 
@@ -121,6 +123,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except ImportError as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import importlib
 import math
 from dataclasses import dataclass
 from types import ModuleType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,10 +38,6 @@ from .model import (
     click_prob_given_mean,
     click_prob_given_photons,
 )
-
-if TYPE_CHECKING:
-    from scipy.optimize import OptimizeResult
-    from scipy.sparse import csc_matrix
 
 __all__ = [
     "ObservablesInconsistentError",
@@ -68,6 +64,8 @@ _K_MAX = 20
 # product rounds like the integer one.
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(_K_MAX + 1)])
 _FACTORIAL_PAIRS = np.multiply.outer(_FACTORIALS, _FACTORIALS)
+
+
 class ObservablesInconsistentError(RuntimeError):
     """No channel is consistent with the supplied observables (infeasible LP)."""
 
@@ -98,6 +96,7 @@ class DecoyConfig:
     s_mu: float
 
     def __post_init__(self) -> None:
+        # written so that NaN fails each check
         for name, mu in (("mu_a", self.mu_a), ("mu_b", self.mu_b)):
             if not 0.0 < mu <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {mu}")
@@ -107,9 +106,9 @@ class DecoyConfig:
             if nu > 0.0 and abs(2.0 * nu - mu) < 1e-12:
                 raise ValueError(f"2*{name} must not equal the signal intensity")
         probs = (self.s_0, self.s_nu, self.s_mu)
-        if any(s < 0.0 for s in probs):
+        if not all(s >= 0.0 for s in probs):
             raise ValueError(f"selection probabilities must be >= 0, got {probs}")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError(f"selection probabilities must sum to 1, got {sum(probs)}")
 
     def levels(self, party: str) -> tuple[float, float, float]:
@@ -301,25 +300,17 @@ class DecoyBounds:
     phase_error_upper: float | None
 
 
-class _HiGHS(NamedTuple):
-    """scipy's HiGHS core, with what the decoy LPs take from scipy around it."""
-
-    core: ModuleType
-    csc_matrix: type  # scipy.sparse.csc_matrix
-    result: type  # scipy.optimize.OptimizeResult
-    options: dict[str, object]  # linprog(method="highs")'s default options
-    status: dict[object, int]  # linprog's status code per HiGHS model status
-
-
 @functools.cache
-def load_highs() -> _HiGHS:
-    """scipy's own HiGHS bindings (scipy >= 1.15), loaded with the first LP.
+def load_highs() -> tuple[ModuleType, object]:
+    """scipy's own HiGHS core (scipy >= 1.15) and the options of every decoy
+    LP: those scipy's ``linprog(method="highs")`` sets when given no others,
+    plus the LPs' feasibility tolerances.
 
-    scipy.optimize and scipy.sparse were most of the package's import time
-    when it loaded them at import, and only the decoy LPs use them, so
-    ``import mpqkd``, ``run`` and ``optimize`` load numpy only.  The core is
-    a private module: a scipy without it raises ImportError here, which
-    ``verify_oracles`` calls before its first point.
+    Loaded with the first LP: scipy.optimize was most of the package's import
+    time, and only the decoy LPs use it, so ``import mpqkd``, ``run`` and
+    ``optimize`` load numpy only.  The core is a private module: a scipy
+    without it raises ImportError here, which ``verify_oracles`` calls before
+    its first point.
     """
     try:
         core = importlib.import_module("scipy.optimize._highspy._core")
@@ -327,87 +318,37 @@ def load_highs() -> _HiGHS:
         raise ImportError(
             "decoy LPs need scipy>=1.15, whose HiGHS core is scipy.optimize._highspy._core"
         ) from exc
-    from scipy.optimize import OptimizeResult
-    from scipy.sparse import csc_matrix
-
-    model_status = core.HighsModelStatus
-    return _HiGHS(
-        core,
-        csc_matrix,
-        OptimizeResult,
-        # The options scipy's linprog(method="highs") sets when given no others.
-        options={
-            "presolve": "on",
-            "highs_debug_level": core.HighsDebugLevel.kHighsDebugLevelNone,
-            "log_to_console": False,
-            "output_flag": False,
-            "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
-        },
-        # Every other HiGHS model status maps to 4.
-        status={
-            model_status.kOptimal: 0,
-            model_status.kTimeLimit: 1,
-            model_status.kIterationLimit: 1,
-            model_status.kInfeasible: 2,
-            model_status.kModelError: 2,
-            model_status.kUnbounded: 3,
-        },
-    )
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-9
+    return core, options
 
 
-def linprog(
-    c: np.ndarray,
-    A_ub: csc_matrix,
-    b_ub: np.ndarray,
-    bounds: np.ndarray,
-    options: Mapping[str, object] | None = None,
-) -> OptimizeResult:
-    """``scipy.optimize.linprog(method="highs")`` for inequality rows and box
-    bounds only, run on scipy's HiGHS core.
+def linprog(lp: object, column: int) -> float:
+    """Solve ``lp`` (a ``HighsLp``) on a fresh HiGHS instance and return the
+    optimal value of ``column``.
 
-    HiGHS receives the model and options that linprog would give it:
-    ``A_ub`` is a canonical CSC matrix (sorted row indices, no duplicates),
-    as linprog's ``tocsc`` makes it, and ``bounds`` is an (n, 2) array.
-    ``options`` are set on top of linprog's defaults.  What linprog adds
-    around the solve is skipped: input and option validation, the per-column
-    bound marginals and the re-check of the returned solution.  The result
-    holds ``x`` (None unless optimal), linprog's ``status`` code,
-    ``success`` and ``message``.
+    Raises :class:`ObservablesInconsistentError` when HiGHS finds the LP
+    infeasible, and RuntimeError on any other outcome that is not optimal,
+    including options or a model that HiGHS rejects.
     """
-    scipy_highs = load_highs()
-    core = scipy_highs.core
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # The matrix fields copy element by element; from a list that is twice
-    # as fast as from an array, and HiGHS gets the same numbers.
-    lp.a_matrix_.start_ = A_ub.indptr.tolist()
-    lp.a_matrix_.index_ = A_ub.indices.tolist()
-    lp.a_matrix_.value_ = A_ub.data.tolist()
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = bounds.T
-    lp.row_lower_ = np.full(len(b_ub), -core.kHighsInf)
-    lp.row_upper_ = b_ub
-
-    highs_options = core.HighsOptions()
-    for key, value in {**scipy_highs.options, **(options or {})}.items():
-        setattr(highs_options, key, value)
+    core, options = load_highs()
     highs = core._Highs()
-    if highs.passOptions(highs_options) == core.HighsStatus.kError:
-        model_status = highs.getModelStatus()
-    elif highs.passModel(lp) == core.HighsStatus.kError:
-        model_status = core.HighsModelStatus.kModelError
-    else:
-        highs.run()
-        model_status = highs.getModelStatus()
-    optimal = model_status == core.HighsModelStatus.kOptimal
-    return scipy_highs.result(
-        x=np.array(highs.getSolution().col_value) if optimal else None,
-        status=scipy_highs.status.get(model_status, 4),
-        success=optimal,
-        message=highs.modelStatusToString(model_status),
-    )
+    error = core.HighsStatus.kError
+    if highs.passOptions(options) == error or highs.passModel(lp) == error:
+        raise RuntimeError("decoy LP failed: HiGHS rejected the options or the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kInfeasible:
+        raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
+    if status != core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"decoy LP failed: {highs.modelStatusToString(status)}")
+    return highs.getSolution().col_value[column]
 
 
 def _solve_basis_lp(
@@ -426,10 +367,12 @@ def _solve_basis_lp(
     The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
     per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
     the last bit in ~3% of them, which moves the bounds by up to 1.5e-10
-    relative.  The constraint matrix is built once, straight from the
-    nonzero weights as CSC arrays, for both solves.  Its rows stay in the
-    order +m, -m, +e, -e per setting, then e_k <= m_k, and each column lists
-    its rows in increasing order, as linprog's ``tocsc`` would.  The order
+    relative.  One ``HighsLp`` is built per basis, its column-wise matrix
+    straight from the nonzero weights, and solved twice: only the objective
+    changes between the solves.  HiGHS gets the model and options that
+    scipy's ``linprog(method="highs")`` would give it.  The matrix rows stay
+    in the order +m, -m, +e, -e per setting, then e_k <= m_k, and each column
+    lists its rows in increasing order, as linprog's ``tocsc`` would.  The order
     matters: HiGHS's path depends on it, and grouping all "+" rows before
     all "-" rows moved the bounds by up to 1.2e-4 relative.
     """
@@ -480,32 +423,29 @@ def _solve_basis_lp(
     rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
     order = np.lexsort((rows, cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_vars))])
-    a_ub = load_highs().csc_matrix((vals[order], rows[order], indptr), shape=(n_rows, n_vars))
-    upper = np.concatenate([np.ones(2 * n), tails, tails]) / unit
-    bounds = np.column_stack([np.zeros(n_vars), upper])
+
+    core, _ = load_highs()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    # The matrix fields copy element by element; from a list that is twice
+    # as fast as from an array, and HiGHS gets the same numbers.
+    lp.a_matrix_.start_ = indptr.tolist()
+    lp.a_matrix_.index_ = rows[order].tolist()
+    lp.a_matrix_.value_ = vals[order].tolist()
+    lp.col_lower_ = np.zeros(n_vars)
+    lp.col_upper_ = np.concatenate([np.ones(2 * n), tails, tails]) / unit
+    lp.row_lower_ = np.full(n_rows, -core.kHighsInf)
+    lp.row_upper_ = b_ub
 
     target = _K_MAX + 2  # the (1, 1) class
     results = []
     for objective_sign, column in ((1.0, target), (-1.0, n + target)):
-        c = np.zeros(n_vars)
-        c[column] = objective_sign
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=bounds,
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-9,
-            },
-        )
-        if res.status == 2:
-            raise ObservablesInconsistentError(
-                "no photon-class yields reproduce the observables"
-            )
-        if not res.success:
-            raise RuntimeError(f"decoy LP failed: {res.message}")
-        results.append(min(max(res.x[column] * unit, 0.0), 1.0))
+        cost = np.zeros(n_vars)
+        cost[column] = objective_sign
+        lp.col_cost_ = cost
+        results.append(min(max(linprog(lp, column) * unit, 0.0), 1.0))
     return results[0], results[1]
 
 

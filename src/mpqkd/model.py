@@ -74,14 +74,15 @@ class SystemParams:
     e_0: float = 0.5
 
     def __post_init__(self) -> None:
+        # written so that NaN fails each check
         if not 0.0 < self.eta_d <= 1.0:
             raise ValueError(f"detector efficiency must be in (0, 1], got {self.eta_d}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError(f"fiber attenuation must be positive, got {self.alpha}")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError(f"dark-count probability must be in [0, 1), got {self.p_d}")
-        if self.f < 1.0:
-            raise ValueError(f"error-correction efficiency must be >= 1, got {self.f}")
+        if not 1.0 <= self.f < math.inf:
+            raise ValueError(f"error-correction efficiency must be finite and >= 1, got {self.f}")
         # 0.5 permitted so the all-noise limit e_d == e_0 stays constructible.
         if not 0.0 <= self.e_d <= 0.5:
             raise ValueError(f"misalignment error must be in [0, 0.5], got {self.e_d}")

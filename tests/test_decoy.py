@@ -205,6 +205,10 @@ def oracle_constraint_matrix(weights):
     return sparse.bmat(blocks, format="csr")[order]
 
 
+# The feasibility tolerances that the decoy LPs set on top of linprog's defaults.
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-9}
+
+
 class _Handed(Exception):
     """Stops scipy's linprog once it has handed its model to HiGHS."""
 
@@ -219,35 +223,73 @@ def scipy_highs_inputs(c, A_ub, b_ub, bounds, options):
     return wrapper.call_args.args
 
 
+def option_values(options):
+    """Every option of a HighsOptions, by name."""
+    return {name: getattr(options, name) for name in dir(options) if not name.startswith("_")}
+
+
+def copy_options(options):
+    copy = _core.HighsOptions()
+    for name, value in option_values(options).items():
+        setattr(copy, name, value)
+    return copy
+
+
 def scipy_highs_options(options):
-    """The options scipy's HiGHS wrapper sets from linprog's options dict:
-    unset ones and the objective sense are skipped, presolve becomes "on"."""
-    skipped = {key for key, value in options.items() if value is None} | {"sense"}
-    out = {key: value for key, value in options.items() if key not in skipped}
-    out["presolve"] = "on" if out["presolve"] else "off"
-    return out
+    """Every option of the HighsOptions that scipy's HiGHS wrapper builds from
+    linprog's options dict: unset ones and the objective sense are skipped,
+    presolve True/False becomes "on"/"off"."""
+    skipped = {key for key, value in options.items() if value is None} | {"sense", "presolve"}
+    highs_options = _core.HighsOptions()
+    for key, value in options.items():
+        if key not in skipped:
+            setattr(highs_options, key, value)
+    highs_options.presolve = "on" if options["presolve"] else "off"
+    return option_values(highs_options)
+
+
+def lp_fields(lp):
+    """The vectors of a HighsLp as HiGHS holds them, read back as arrays,
+    plus its sizes and matrix format."""
+    vectors = ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_", "integrality_")
+    fields = {name: np.array(getattr(lp, name)) for name in vectors}
+    matrix = lp.a_matrix_
+    fields.update({name: np.array(getattr(matrix, name)) for name in ("start_", "index_", "value_")})
+    fields["shape"] = (lp.num_row_, lp.num_col_, lp.a_matrix_.num_row_, lp.a_matrix_.num_col_)
+    fields["format"] = lp.a_matrix_.format_
+    return fields
 
 
 def decoy_lp_inputs(settings, totals, errors):
-    """Each LP that _solve_basis_lp solves, as (c, A_ub, b_ub, bounds, the
-    options passed to linprog, the options set on HiGHS)."""
-    calls = []
+    """Each solve of _solve_basis_lp, as a dict: the ``lp`` and ``column``
+    given to linprog, the ``fields`` of the model and the ``options`` values
+    that HiGHS received."""
+    solves = []
     real = mpqkd.decoy.linprog
 
-    class RecordingOptions(_core.HighsOptions):
-        def __setattr__(self, key, value):
-            calls[-1][-1][key] = value
-            super().__setattr__(key, value)
+    class RecordingHighs(_core._Highs):
+        def passOptions(self, options):
+            solves[-1]["options"] = option_values(options)
+            return super().passOptions(options)
 
-    def recording_linprog(c, A_ub, b_ub, bounds, options):
-        calls.append((c, A_ub, b_ub, bounds, options, {}))
-        return real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, options=options)
+        def passModel(self, lp):
+            solves[-1]["fields"] = lp_fields(lp)
+            return super().passModel(lp)
+
+    def recording_linprog(lp, column):
+        solves.append({"lp": lp, "column": column})
+        return real(lp, column)
 
     with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog), mock.patch.object(
-        _core, "HighsOptions", RecordingOptions
+        _core, "_Highs", RecordingHighs
     ):
         mpqkd.decoy._solve_basis_lp(settings, totals, errors)
-    return calls
+    return solves
+
+
+def assert_same_bits(new, old, name):
+    assert (new.dtype, new.shape) == (old.dtype, old.shape), name
+    assert new.tobytes() == old.tobytes(), name
 
 
 def basis_observables(observables, config):
@@ -276,6 +318,18 @@ class TestConfig:
     def test_half_mu_decoy_rejected_as_ambiguous(self):
         with pytest.raises(ValueError):
             DecoyConfig(0.5, 0.5, 0.25, 0.05, 0.5, 0.1, 0.4)
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_nan_field_rejected(self, index):
+        fields = [0.5, 0.5, 0.05, 0.05, 0.5, 0.1, 0.4]
+        fields[index] = math.nan
+        with pytest.raises(ValueError):
+            DecoyConfig(*fields)
+
+    def test_nan_decoy_probability_rejected(self):
+        sc = reference_scenario()
+        with pytest.raises(ValueError):
+            decoy_config_for(sc, s_nu=math.nan)
 
     def test_z_settings_exclude_vacuum_vacuum(self):
         cfg = DecoyConfig(0.5, 0.5, 0.05, 0.05, 0.5, 0.1, 0.4)
@@ -574,6 +628,7 @@ class TestLinearProgram:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="open defect (ROADMAP item 1): the LP's Poisson weights fall far below HiGHS's "
         "small_matrix_value, which drops them, so HiGHS solves a different LP",
     )
@@ -581,28 +636,24 @@ class TestLinearProgram:
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
         for basis in basis_observables(expected_observables(sc, cfg), cfg):
-            for _, matrix, _, _, _, options_set in decoy_lp_inputs(*basis):
-                threshold = options_set.get(
-                    "small_matrix_value", _core.HighsOptions().small_matrix_value
-                )
-                assert np.min(np.abs(matrix.data)) >= threshold
+            for solve in decoy_lp_inputs(*basis):
+                entries = np.abs(solve["fields"]["value_"])
+                assert entries.min() >= solve["options"]["small_matrix_value"]
 
-    def test_sparse_matrix_without_scalar_weights(self):
+    def test_one_model_without_scalar_weights(self):
+        # both solves hand HiGHS one HighsLp, built from the weight arrays,
+        # whose objective alone changes between them
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
-        matrices = []
-
-        def recording_linprog(c, A_ub, **kwargs):
-            matrices.append(A_ub)
-            return linprog(c, A_ub=A_ub, **kwargs)
-
-        with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog), mock.patch.object(
+        with mock.patch.object(
             mpqkd.decoy, "poisson_pair_prob", side_effect=AssertionError("scalar weight")
         ):
-            mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
-        assert len(matrices) == 2 and matrices[0] is matrices[1]
-        assert sparse.issparse(matrices[0])
+            first, second = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)
+        assert isinstance(first["lp"], _core.HighsLp) and first["lp"] is second["lp"]
+        for name, value in first["fields"].items():
+            if name != "col_cost_":
+                assert np.array_equal(value, second["fields"][name]), name
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -615,8 +666,10 @@ class TestLinearProgram:
         p_d=st.sampled_from(DARK_COUNT_RATES),
     )
     def test_highs_gets_the_linprog_model(self, distance_a, gap, mu_a, mu_b, nu_frac, s_nu, p_d):
-        # HiGHS receives the arrays and options that scipy's linprog handed
-        # it for the block-built matrix, bit for bit and in the same dtypes
+        # HiGHS receives the model and options that scipy's linprog hands its
+        # HiGHS wrapper for the block-built matrix: the float vectors bit for
+        # bit and in the same dtype, the CSC index arrays (which HiGHS stores
+        # in its own integer type) value for value
         sc = make_scenario(
             distance_a,
             distance_a + gap,
@@ -629,64 +682,63 @@ class TestLinearProgram:
         )
         cfg = decoy_config_for(sc, s_nu=s_nu)
         for basis in basis_observables(expected_observables(sc, cfg), cfg):
-            calls = decoy_lp_inputs(*basis)
-            assert len(calls) == 2
+            solves = decoy_lp_inputs(*basis)
+            assert len(solves) == 2
             a_ub, b_ub, bounds = oracle_lp_model(*basis)
-            for c, matrix, rhs, box, options, options_set in calls:
-                handed = scipy_highs_inputs(c, a_ub, b_ub, bounds, options)
-                c_0, indptr, indices, data, lhs, rhs_0, lb, ub, integrality, highs_options = handed
-                pairs = (
-                    (c, c_0),
-                    (matrix.indptr, indptr),
-                    (matrix.indices, indices),
-                    (matrix.data, data),
-                    (rhs, rhs_0),
-                    (box[:, 0], lb),
-                    (box[:, 1], ub),
-                )
-                for new, old in pairs:
-                    assert new.dtype == old.dtype and np.array_equal(new, old)
-                assert np.array_equal(lhs, np.full(len(rhs), -_core.kHighsInf))
-                assert integrality.size == 0
-                assert options_set == scipy_highs_options(highs_options)
-
-    def test_linprog_matches_scipy(self):
-        # the decoy LPs give the solution and status of scipy's linprog
-        geometries = [
-            (100.0, 150.0, 0.2402, 0.7594, 0.05, 0.05, 1e-3, 1.2e-8),
-            (60.0, 60.0, 0.5, 0.5, 0.005, 0.005, 1e-3, 1e-2),
-            (80.0, 130.0, 0.3, 0.8, 0.003, 0.008, 1e-3, 1e-4),
-            (100.0, 150.0, 0.24, 0.76, 0.024, 0.076, 0.0, 0.0),
-        ]
-        for d_a, d_b, mu_a, mu_b, nu_a, nu_b, s_nu, p_d in geometries:
-            sc = make_scenario(d_a, d_b, mu_a, mu_b, 1e6, SystemParams(p_d=p_d), nu_a=nu_a, nu_b=nu_b)
-            cfg = decoy_config_for(sc, s_nu=s_nu)
-            for basis in basis_observables(expected_observables(sc, cfg), cfg):
-                for c, a_ub, b_ub, bounds, options, _ in decoy_lp_inputs(*basis):
-                    res = mpqkd.decoy.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
-                    ref = linprog(
-                        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options
-                    )
-                    assert (res.status, res.success) == (ref.status, ref.success) == (0, True)
-                    assert np.array_equal(res.x, ref.x)
+            for objective_sign, solve in zip((1.0, -1.0), solves):
+                c = np.zeros(a_ub.shape[1])
+                c[solve["column"]] = objective_sign
+                handed = scipy_highs_inputs(c, a_ub, b_ub, bounds, LP_OPTIONS)
+                c, indptr, indices, data, lhs, rhs, lb, ub, integrality, options = handed
+                fields = solve["fields"]
+                floats = {
+                    "col_cost_": c,
+                    "value_": data,
+                    "row_lower_": lhs,
+                    "row_upper_": rhs,
+                    "col_lower_": lb,
+                    "col_upper_": ub,
+                }
+                for name, old in floats.items():
+                    assert_same_bits(fields[name], old, name)
+                for name, old in (("start_", indptr), ("index_", indices)):
+                    assert fields[name].dtype.kind == old.dtype.kind == "i", name
+                    assert np.array_equal(fields[name], old), name
+                assert fields["integrality_"].size == integrality.size == 0
+                assert fields["shape"] == (*a_ub.shape, *a_ub.shape)
+                assert fields["format"] == _core.MatrixFormat.kColwise
+                assert solve["options"] == scipy_highs_options(options)
 
     def test_iteration_limit_is_a_failure(self):
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
-        real = mpqkd.decoy.linprog
-        results = []
-
-        def limited_linprog(c, options, **kwargs):
-            res = real(c, options={**options, "simplex_iteration_limit": 0}, **kwargs)
-            results.append(res)
-            return res
-
-        with mock.patch.object(mpqkd.decoy, "linprog", limited_linprog):
-            with pytest.raises(RuntimeError, match="decoy LP failed: "):
+        core, options = mpqkd.decoy.load_highs()
+        limited = copy_options(options)
+        limited.simplex_iteration_limit = 0
+        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, limited)):
+            with pytest.raises(RuntimeError, match="decoy LP failed: Iteration limit reached"):
                 mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
-        (res,) = results
-        assert (res.success, res.status, res.x) == (False, 1, None)
+
+    @pytest.mark.parametrize("rejected", ["options", "model"])
+    def test_rejected_lp_is_a_failure(self, rejected):
+        # HiGHS refusing the options or the model is a failed solve, not
+        # evidence against the observables
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        solve = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)[0]
+        lp, (core, options) = solve["lp"], mpqkd.decoy.load_highs()
+        if rejected == "options":
+            options = copy_options(options)
+            options.presolve = "sometimes"
+        else:
+            lp.col_upper_ = solve["fields"]["col_upper_"][:-1]  # one column bound short
+        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, options)):
+            with pytest.raises(RuntimeError) as raised:
+                mpqkd.decoy.linprog(lp, solve["column"])
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == "decoy LP failed: HiGHS rejected the options or the model"
 
 
 class TestDecoyKeyRate:

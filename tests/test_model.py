@@ -74,6 +74,8 @@ class TestParamsAndTypes:
             {"e_d": -0.01},
             {"e_d": 0.51},
             {"e_0": 0.4},
+            {"f": math.inf},
+            *({field.name: math.nan} for field in dataclasses.fields(SystemParams)),
         ],
     )
     def test_invalid_params(self, kwargs):

@@ -613,6 +613,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
+    def test_missing_lp_core_is_an_environment_error(self, tmp_path, capsys, monkeypatch):
+        # a scipy without the HiGHS core: one line on stderr and code 4, not
+        # a traceback under the validation-error code
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        mpqkd.decoy.load_highs.cache_clear()
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**CUSTOM_BASE, "n_rounds": 1_000}))
+        assert main(["verify", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("environment error: decoy LPs need scipy>=1.15")
+
     def test_optimize_rejects_non_finite_arm(self, capsys):
         assert main(["optimize", "--la", "nan", "--delta", "1", "--lambda", "inf"]) == 1
         assert "arm length must be finite and > 0 km, got nan" in capsys.readouterr().err
