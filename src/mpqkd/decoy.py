@@ -259,8 +259,9 @@ def expected_observables(scenario: Scenario, config: DecoyConfig) -> DecoyObserv
     These are exact: each yield is affine in the photon-survival products
     (1 - eta)**k, whose Poisson average is exp(-eta A).
     """
-    if abs(config.mu_a - scenario.mu_a) > 1e-12 or abs(config.mu_b - scenario.mu_b) > 1e-12:
-        raise ValueError("config signal intensities disagree with the scenario")
+    names = ("mu_a", "mu_b", "nu_a", "nu_b")  # the check is written so that NaN fails it
+    if not all(abs(getattr(config, n) - getattr(scenario, n)) <= 1e-12 for n in names):
+        raise ValueError("config intensities disagree with the scenario")
     eta_a, eta_b = scenario.eta_a, scenario.eta_b
     p_d, e_d = scenario.params.p_d, scenario.params.e_d
 

@@ -92,7 +92,7 @@ class SystemParams:
 
 def transmittance_from_distance(distance_km: float, params: SystemParams) -> float:
     """Total one-arm transmittance eta_d * 10**(-alpha*L/10) at fiber length L."""
-    if distance_km < 0.0:
+    if not distance_km >= 0.0:  # written so that NaN fails
         raise ValueError(f"distance must be >= 0 km, got {distance_km}")
     return params.eta_d * 10.0 ** (-params.alpha * distance_km / 10.0)
 
@@ -100,7 +100,7 @@ def transmittance_from_distance(distance_km: float, params: SystemParams) -> flo
 def distance_from_transmittance(eta: float, params: SystemParams) -> float:
     """Fiber length reproducing a given total transmittance; inverse of
     :func:`transmittance_from_distance`."""
-    if eta <= 0.0 or eta > params.eta_d:
+    if not 0.0 < eta <= params.eta_d:  # written so that NaN fails
         raise ValueError(f"transmittance must be in (0, eta_d={params.eta_d}], got {eta}")
     return 10.0 * math.log10(params.eta_d / eta) / params.alpha
 

@@ -9,7 +9,8 @@ a bounded Nelder-Mead on Python floats (:func:`_nelder_mead`) that evaluates
 the points scipy's would, in the same order.  A short Newton polish on
 central finite differences sharpens the final point to well below the 1e-4
 intensity tolerance, which also lets the optimizer reproduce the closed-form
-stationary points of the linearized model to ~1e-9.
+stationary points of the linearized model to ~1e-9.  The polish and the
+final stationarity test run on floats too, the polish's 2x2 solved in closed form.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ _MU_MIN = 1e-6
 _MU_MAX = 1.0
 _GRID_RESOLUTION = 64
 _GRID_TIE_TOL = 1e-15
+_FD_STEP = 1e-5  # finite-difference step of the Newton polish and the stationarity test
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,10 @@ def _grid_scan(problem: OptimizationProblem) -> tuple[float, float, float]:
     return problem.rate(mu_a, mu_b), mu_a, mu_b
 
 
+def _clip(a: float, b: float) -> tuple[float, float]:
+    return (min(max(a, _MU_MIN), _MU_MAX), min(max(b, _MU_MIN), _MU_MAX))
+
+
 class _MaxFev(Exception):
     """A Nelder-Mead run spent its evaluation budget."""
 
@@ -145,9 +151,6 @@ def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int = 500, max
     into it, every point clipped, at most ``maxfev`` calls of f and
     ``maxiter`` iterations counted from 1): the same points in the same order.
     """
-    def clip(a: float, b: float) -> tuple[float, float]:
-        return (min(max(a, _MU_MIN), _MU_MAX), min(max(b, _MU_MIN), _MU_MAX))
-
     def func(x: tuple[float, float]) -> float:
         nonlocal calls
         if calls >= maxfev:
@@ -160,9 +163,9 @@ def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int = 500, max
         return [sim[k] for k in ranked], [fsim[k] for k in ranked]
 
     def trial(c: float) -> tuple[float, float]:  # (1 + c) centroid - c worst
-        return clip((1.0 + c) * ma - c * a2, (1.0 + c) * mb - c * b2)
+        return _clip((1.0 + c) * ma - c * a2, (1.0 + c) * mb - c * b2)
 
-    sim = [clip(*(2.0 * _MU_MAX - v if v > _MU_MAX else v for v in x)) for x in simplex]
+    sim = [_clip(*(2.0 * _MU_MAX - v if v > _MU_MAX else v for v in x)) for x in simplex]
     fsim, calls, iterations = [math.inf] * 3, 0, 1
     try:
         for k in range(3):
@@ -190,7 +193,7 @@ def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int = 500, max
                     sim[2], fsim[2] = xc, fxc
                 else:  # shrink toward the best vertex
                     for j in (1, 2):
-                        sim[j] = clip(a0 + 0.5 * (sim[j][0] - a0), b0 + 0.5 * (sim[j][1] - b0))
+                        sim[j] = _clip(a0 + 0.5 * (sim[j][0] - a0), b0 + 0.5 * (sim[j][1] - b0))
                         fsim[j] = func(sim[j])
             iterations += 1
             sim, fsim = order()
@@ -199,66 +202,61 @@ def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int = 500, max
     return sim[0], iterations
 
 
-def _fd_gradient(rate: Callable[[float, float], float], x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros(2)
-    for k in range(2):
-        step = np.zeros(2)
-        step[k] = h
-        lo = np.clip(x - step, _MU_MIN, _MU_MAX)
-        hi = np.clip(x + step, _MU_MIN, _MU_MAX)
-        g[k] = (rate(hi[0], hi[1]) - rate(lo[0], lo[1])) / (hi[k] - lo[k])
-    return g
+def _gradient(rate: Callable[[float, float], float], a: float, b: float) -> tuple[float, float]:
+    """Central differences of step ``_FD_STEP``, each stencil clipped to the box."""
+    h = _FD_STEP
+    a_lo, a_hi = _clip(a - h, b), _clip(a + h, b)
+    b_lo, b_hi = _clip(a, b - h), _clip(a, b + h)
+    return (
+        (rate(*a_hi) - rate(*a_lo)) / (a_hi[0] - a_lo[0]),
+        (rate(*b_hi) - rate(*b_lo)) / (b_hi[1] - b_lo[1]),
+    )
 
 
 def _newton_polish(
-    rate: Callable[[float, float], float], x: np.ndarray, h: float = 1e-5, steps: int = 3
-) -> tuple[np.ndarray, int]:
-    """A few finite-difference Newton steps near an interior maximum.
+    rate: Callable[[float, float], float], a: float, b: float
+) -> tuple[float, float, int]:
+    """Up to three finite-difference Newton steps near an interior maximum;
+    returns the point reached and the steps taken.
 
-    Only runs when the point is safely inside the box (the stencil must not
-    cross a bound); steps that leave the box, exceed a trust radius, hit a
-    non-concave Hessian or fail to improve the rate are rejected.
+    Runs only while the point is ten stencil steps inside the box.  A step is
+    rejected if it exceeds the trust radius, the Hessian is singular (the 2x2
+    system is solved in closed form) or the rate falls.
     """
-    used, fx = 0, rate(x[0], x[1])
-    for _ in range(steps):
-        if np.min(x - _MU_MIN) < 10.0 * h or np.min(_MU_MAX - x) < 10.0 * h:
+    h, used, fx = _FD_STEP, 0, rate(a, b)
+    for _ in range(3):
+        if min(a, b) - _MU_MIN < 10.0 * h or _MU_MAX - max(a, b) < 10.0 * h:
             break
-        g = _fd_gradient(rate, x, h)
-        hess = np.zeros((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            hess[k, k] = (rate(*(x + e)) + rate(*(x - e)) - 2.0 * fx) / (h * h)
-        e_ab = np.array([h, h])
-        cross = (
-            rate(*(x + e_ab)) - rate(x[0] + h, x[1] - h) - rate(x[0] - h, x[1] + h) + rate(*(x - e_ab))
+        g_a, g_b = _gradient(rate, a, b)
+        h_aa = (rate(a + h, b) + rate(a - h, b) - 2.0 * fx) / (h * h)
+        h_bb = (rate(a, b + h) + rate(a, b - h) - 2.0 * fx) / (h * h)
+        h_ab = (
+            rate(a + h, b + h) - rate(a + h, b - h) - rate(a - h, b + h) + rate(a - h, b - h)
         ) / (4.0 * h * h)
-        hess[0, 1] = hess[1, 0] = cross
-        try:
-            delta = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
+        det = h_aa * h_bb - h_ab * h_ab
+        if det == 0.0:
             break
-        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e-2:
+        d_a, d_b = (h_ab * g_b - h_bb * g_a) / det, (h_ab * g_a - h_aa * g_b) / det
+        if not (abs(d_a) <= 1e-2 and abs(d_b) <= 1e-2):  # NaN fails too
             break
-        candidate = np.clip(x + delta, _MU_MIN, _MU_MAX)
-        f_candidate = rate(candidate[0], candidate[1])
+        candidate = _clip(a + d_a, b + d_b)
+        f_candidate = rate(*candidate)
         if f_candidate < fx:
             break
-        x, fx = candidate, f_candidate
+        (a, b), fx = candidate, f_candidate
         used += 1
-        if np.max(np.abs(delta)) < 1e-12:
+        if max(abs(d_a), abs(d_b)) < 1e-12:
             break
-    return x, used
+    return a, b, used
 
 
-def _stationary(rate: Callable[[float, float], float], x: np.ndarray, r: float) -> bool:
-    """First-order optimality at x, treating box-boundary coordinates by the
-    sign of the one-sided derivative."""
+def _stationary(rate: Callable[[float, float], float], a: float, b: float, r: float) -> bool:
+    """First-order optimality at (a, b), treating box-boundary coordinates by
+    the sign of the one-sided derivative."""
     tol = 1e-6 * max(r, 1e-300)
-    g = _fd_gradient(rate, x, 1e-5)
-    for k in range(2):
-        at_upper, at_lower = x[k] >= _MU_MAX - 1e-9, x[k] <= _MU_MIN + 1e-9
-        if abs(g[k]) > tol and not (at_upper and g[k] >= -tol or at_lower and g[k] <= tol):
+    for v, g in zip((a, b), _gradient(rate, a, b)):
+        at_upper, at_lower = v >= _MU_MAX - 1e-9, v <= _MU_MIN + 1e-9
+        if abs(g) > tol and not (at_upper and g >= -tol or at_lower and g <= tol):
             return False
     return True
 
@@ -293,15 +291,9 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
             x = candidate
     if rate(*x) < r_grid:
         x = (mu_a0, mu_b0)
-    x, polish_steps = _newton_polish(rate, np.array(x))
-    r_star = rate(x[0], x[1])
-    return OptimumReport(
-        mu_a_star=float(x[0]),
-        mu_b_star=float(x[1]),
-        r_star=float(r_star),
-        iterations=iterations + polish_steps,
-        converged=_stationary(rate, x, r_star),
-    )
+    a, b, polish_steps = _newton_polish(rate, *x)
+    r_star = rate(a, b)
+    return OptimumReport(a, b, r_star, iterations + polish_steps, _stationary(rate, a, b, r_star))
 
 
 def closed_form_asymptotic(delta: float, regime: str) -> tuple[float, float]:
@@ -311,8 +303,8 @@ def closed_form_asymptotic(delta: float, regime: str) -> tuple[float, float]:
     mu_a + mu_b = 1 with mu_b / mu_a = sqrt(delta); "lambda_one" gives
     (1, 1) for moderate asymmetry.
     """
-    if delta < 1.0:
-        raise ValueError(f"transmittance ratio must be >= 1, got {delta}")
+    if not 1.0 <= delta < math.inf:  # written so that NaN fails
+        raise ValueError(f"transmittance ratio must be finite and >= 1, got {delta}")
     if regime == "lambda_one":
         return (1.0, 1.0)
     if regime != "lambda_infinite":
@@ -336,7 +328,7 @@ def plob_bound(
     the fiber-only bound does not.  A lossless channel returns math.inf as
     the unbounded sentinel.
     """
-    if total_distance_km < 0.0:
+    if not total_distance_km >= 0.0:  # written so that NaN fails
         raise ValueError(f"distance must be >= 0 km, got {total_distance_km}")
     eta = 10.0 ** (-params.alpha * total_distance_km / 10.0)
     if include_detector:

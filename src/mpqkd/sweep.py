@@ -159,6 +159,8 @@ class SweepSpec:
             for name in ("delta_list", "lambda_list", "e_d_list", "methods", "mu_a", "mu_b"):
                 if getattr(self, name) is not None:
                     problems.append(f"{name}: not overridable in preset mode {self.mode!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            problems.append(f"out: must be a path string, got {self.out!r}")
         for name, low in (("seed", 0), ("n_rounds", 1), ("workers", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -212,10 +214,8 @@ def _is_number(value: Any) -> bool:
 
 def _type_problem(name: str, value: Any) -> str | None:
     """Why a spec value has the wrong JSON type for its key, or None."""
-    if value is None or name in ("mode", "seed", "n_rounds", "workers"):
-        return None  # optional keys; SweepSpec checks the mode and the integers
-    if name == "out":
-        return None if isinstance(value, str) else f"out: must be a path string, got {value!r}"
+    if value is None or name in ("mode", "out", "seed", "n_rounds", "workers"):
+        return None  # optional keys; SweepSpec checks the mode, out and the integers
     if name == "methods":
         return None if isinstance(value, list) else f"methods: must be a list, got {value!r}"
     if name.endswith("_list"):

@@ -139,12 +139,6 @@ def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
             x = candidate
     if rate(x[0], x[1]) < r_grid:
         x = np.array([mu_a0, mu_b0])
-    x, polish_steps = _newton_polish(rate, x)
-    r_star = rate(x[0], x[1])
-    return OptimumReport(
-        mu_a_star=float(x[0]),
-        mu_b_star=float(x[1]),
-        r_star=float(r_star),
-        iterations=iterations + polish_steps,
-        converged=_stationary(rate, x, r_star),
-    )
+    a, b, polish_steps = _newton_polish(rate, *x.tolist())
+    r_star = rate(a, b)
+    return OptimumReport(a, b, r_star, iterations + polish_steps, _stationary(rate, a, b, r_star))

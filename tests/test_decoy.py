@@ -443,6 +443,9 @@ class TestObservables:
         cfg = DecoyConfig(0.3, 0.3, 0.05, 0.05, 0.4995, 0.001, 0.4995)
         with pytest.raises(ValueError):
             expected_observables(sc, cfg)
+        cfg = DecoyConfig(sc.mu_a, sc.mu_b, 0.1, 0.12, 0.4995, 0.001, 0.4995)  # nu only
+        with pytest.raises(ValueError, match="config intensities disagree"):
+            expected_observables(sc, cfg)
 
     def test_closed_form_cross_check(self):
         # the closed form equals the truncated photon-number fold, in all

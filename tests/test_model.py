@@ -152,6 +152,11 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             distance_from_transmittance(0.25, PARAMS)
 
+    @pytest.mark.parametrize("helper", [transmittance_from_distance, distance_from_transmittance])
+    def test_nan_rejected(self, helper):
+        with pytest.raises(ValueError, match="got nan"):
+            helper(math.nan, PARAMS)
+
 
 class TestClickProbabilities:
     def test_vacuum_no_dark_never_clicks(self):

@@ -22,6 +22,7 @@ from mpqkd.optimize import (
     _grid_best,
     _grid_scan,
     _nelder_mead,
+    _newton_polish,
     closed_form_asymptotic,
     optimize_intensities,
     plob_bound,
@@ -304,6 +305,32 @@ class TestNelderMead:
         assert len(points) == 7
 
 
+def peaked(a: float, b: float) -> float:
+    """A concave quadratic rate with its peak 1 at (0.4, 0.6)."""
+    return 1.0 - (a - 0.4) ** 2 - 2.0 * (b - 0.6) ** 2 - 0.5 * (a - 0.4) * (b - 0.6)
+
+
+class TestNewtonPolish:
+    def test_converges_on_a_quadratic(self):
+        a, b, steps = _newton_polish(peaked, 0.41, 0.59)
+        assert abs(a - 0.4) <= 1e-9 and abs(b - 0.6) <= 1e-9
+        assert steps == 3
+
+    @pytest.mark.parametrize(
+        "rate, start",
+        [
+            (lambda a, b: 0.5, (0.41, 0.59)),  # singular Hessian
+            (lambda a, b: math.nan, (0.41, 0.59)),
+            (peaked, (5e-5, 0.59)),  # closer to a bound than ten stencil steps
+            (peaked, (0.41, 1.0 - 5e-5)),
+            (peaked, (0.3, 0.59)),  # the Newton step exceeds the trust radius
+        ],
+        ids=["flat", "nan", "near-lower-bound", "near-upper-bound", "beyond-trust-radius"],
+    )
+    def test_rejected_step_returns_the_start(self, rate, start):
+        assert _newton_polish(rate, *start) == (*start, 0)
+
+
 def test_optimum_equals_scipy_refinement():
     """The optimizer gives the report its scipy-backed form gives, on random
     problems across geometry, interval, dark counts and misalignment."""
@@ -412,6 +439,12 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_asymptotic(2.0, "bogus")
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    @pytest.mark.parametrize("regime", ["lambda_infinite", "lambda_one"])
+    def test_rejects_non_finite_ratio(self, delta, regime):
+        with pytest.raises(ValueError, match="must be finite and >= 1"):
+            closed_form_asymptotic(delta, regime)
+
     @pytest.mark.parametrize("delta", [1.0, 2.0, 10.0, 100.0])
     def test_optimizer_matches_closed_form_on_linearized_model(self, delta):
         problem = LinearizedProblem(100.0, delta, math.inf)
@@ -448,6 +481,11 @@ class TestPlobBound:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             plob_bound(-1.0, PARAMS)
+
+    @pytest.mark.parametrize("include_detector", [False, True])
+    def test_nan_distance_rejected(self, include_detector):
+        with pytest.raises(ValueError, match="got nan"):
+            plob_bound(math.nan, PARAMS, include_detector)
 
 
 class TestAddingFiber:

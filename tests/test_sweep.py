@@ -1,4 +1,5 @@
 """Tests for the sweep runner, spec parsing, CSV emission and the CLI."""
+import hashlib
 import json
 import math
 import os
@@ -98,6 +99,13 @@ class TestSpecParsing:
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(SweepValidationError, match=f"{name}: must be an integer, got"):
             SweepSpec(mode="table2", **{name: value})
+
+    def test_out_must_be_a_path_string(self):
+        message = "out: must be a path string, got 5"
+        with pytest.raises(SweepValidationError, match=message):
+            SweepSpec(mode="table2", out=5)
+        with pytest.raises(SweepValidationError, match=message):
+            load_spec({"mode": "table2", "out": 5})
 
     def test_integer_counts_accepted(self):
         spec = SweepSpec(mode="table2", workers=np.int64(2), seed=np.int32(0), n_rounds=10)
@@ -232,6 +240,22 @@ class TestRunSweep:
             )
         )
         assert all(r.mu_a == 0.3 and r.mu_b == 0.7 for r in rows)
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("table2", "389eb0e76f82123ee2cd64269d5f71f87b28f577d61949677254aecb2bfd2769"),
+            ("table3", "3a8b402980ed4a4cda490b0b42a902f55254c385db7d1bbd4e648d18f1b64032"),
+            ("table4", "79c6198c35e4870453ad3bd4102caed95a078c4493f6f0773e098fe3b87be1df"),
+            ("table5", "2fa269fe5109e9c1c50737b7b03a4bde3d3d918c52b0c67d0d90f359ac90928e"),
+            ("fig3", "6309c5bf9706ca09b2f464010f650a7cbb566e626d35a51385e13dae5ab227dc"),
+        ],
+    )
+    def test_fast_preset_csv_bytes(self, tmp_path, mode, digest):
+        # pins the shipped CSV bytes of the presets that run in well under a second
+        out = tmp_path / f"{mode}.csv"
+        run_sweep(SweepSpec(mode=mode, out=str(out)))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_csv_determinism(self, tmp_path):
         paths = []
