@@ -23,9 +23,12 @@ rounds, so X pairs factor the same way.  No photon-number sum is truncated.
 from __future__ import annotations
 
 import functools
-import importlib
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import ModuleType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -301,24 +304,57 @@ class DecoyBounds:
     phase_error_upper: float | None
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _import_highs_core() -> ModuleType:
+    """scipy's HiGHS core, loaded from its extension file under its own name.
+
+    No code of the ``scipy``, ``scipy.optimize`` or ``_highspy`` packages
+    runs: scipy.optimize's ``__init__`` alone loads ~320 scipy modules.
+    The module goes into ``sys.modules`` before it runs, so a later
+    ``import scipy.optimize`` gets this same module (pybind11 cannot register
+    HiGHS's types twice).  A core already in ``sys.modules``, a ``None``
+    there, or a scipy laid out otherwise goes through the import system.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    roots = (scipy.submodule_search_locations or []) if scipy else []
+    paths = (
+        os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+        for root in roots
+        for suffix in EXTENSION_SUFFIXES
+    )
+    path = next(filter(os.path.isfile, paths), None)
+    if _HIGHS_CORE in sys.modules or path is None:
+        return importlib.import_module(_HIGHS_CORE)
+    loader = ExtensionFileLoader(_HIGHS_CORE, path)
+    core = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS_CORE, loader))
+    sys.modules[_HIGHS_CORE] = core
+    try:
+        loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return core
+
+
 @functools.cache
 def load_highs() -> tuple[ModuleType, object]:
     """scipy's own HiGHS core (scipy >= 1.15) and the options of every decoy
     LP: those scipy's ``linprog(method="highs")`` sets when given no others,
     plus the LPs' feasibility tolerances.
 
-    Loaded with the first LP: scipy.optimize was most of the package's import
-    time, and only the decoy LPs use it, so ``import mpqkd``, ``run`` and
-    ``optimize`` load numpy only.  The core is a private module: a scipy
-    without it raises ImportError here, which ``verify_oracles`` calls before
-    its first point.
+    Loaded with the first LP, straight from the core's extension file, so
+    ``import mpqkd``, ``run`` and ``optimize`` load numpy only and no decoy
+    LP loads ``scipy.optimize``.  HiGHS gets the binary ``linprog`` uses.
+    The core is a private module: a scipy without it raises ImportError
+    here, which ``verify_oracles`` calls before its first point.
     """
     try:
-        core = importlib.import_module("scipy.optimize._highspy._core")
+        core = _import_highs_core()
     except ImportError as exc:
-        raise ImportError(
-            "decoy LPs need scipy>=1.15, whose HiGHS core is scipy.optimize._highspy._core"
-        ) from exc
+        message = f"decoy LPs need scipy>=1.15, whose HiGHS core is {_HIGHS_CORE}"
+        raise ImportError(message) from exc
     options = core.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone

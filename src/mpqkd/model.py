@@ -1,10 +1,9 @@
 """Analytic channel and key-rate model for asymmetric mode-pairing QKD.
 
 All formulas are exact in the dark-count rate and in the exponentials of the
-weak-coherent-pulse statistics; the Taylor-linearized small-intensity model
-(dark counts dropped, ``1 - exp(-x) -> x``) is provided separately as
-:func:`linearized_key_rate` and is used as a cross-check oracle, never as the
-production path.
+weak-coherent-pulse statistics.  The Taylor-linearized small-intensity model
+(dark counts dropped, ``1 - exp(-x) -> x``) is a test oracle, not part of
+the package.
 
 The intensity-dependent key-rate chain (the four selector click
 probabilities, p, r_p, r_s, e_z, q_bar_11, H(e_z) and the clamp) has one
@@ -49,7 +48,6 @@ __all__ = [
     "binary_entropy",
     "key_rate",
     "key_rate_grid",
-    "linearized_key_rate",
 ]
 
 class ModelDegenerateError(ValueError):
@@ -377,46 +375,3 @@ def key_rate_grid(scenario: Scenario, mu_a: np.ndarray, mu_b: np.ndarray) -> np.
     """
     mu_a, mu_b = np.asarray(mu_a, dtype=float), np.asarray(mu_b, dtype=float)
     return _key_rate_terms(scenario, mu_a, mu_b).rate
-
-
-def linearized_key_rate(scenario: Scenario) -> KeyRateBreakdown:
-    """Small-intensity closed-form model used as an optimizer oracle.
-
-    Dark counts are dropped and the click probability is Taylor-linearized,
-    which collapses the intermediates to:
-
-        p     = (eta_a mu_a + eta_b mu_b) / 2
-        r_s   = eta_a eta_b mu_a mu_b / (8 p^2)
-        q_bar = exp(-mu_a - mu_b)
-        e_z   = 0,  e_11 = e_d
-
-    The pairing rate keeps its two limit forms exactly: p/2 for an unbounded
-    interval and p^2 for lam == 1 (small-p limit); other intervals use the
-    finite formula on the linearized p.
-    """
-    eta_a, eta_b = scenario.eta_a, scenario.eta_b
-    mu_a, mu_b = scenario.mu_a, scenario.mu_b
-    p = (eta_a * mu_a + eta_b * mu_b) / 2.0
-    if p <= 0.0:
-        raise ModelDegenerateError("zero click probability in linearized model")
-    if math.isinf(scenario.lam):
-        r_p = p / 2.0
-    elif scenario.lam == 1:
-        r_p = p * p
-    else:
-        r_p = pairing_rate(p, scenario.lam)
-    r_s = eta_a * eta_b * mu_a * mu_b / (8.0 * p * p)
-    q_bar = math.exp(-mu_a - mu_b)
-    e_11 = scenario.params.e_d
-    raw = r_p * r_s * q_bar * (1.0 - binary_entropy(e_11))
-    return KeyRateBreakdown(
-        p=p,
-        r_p=r_p,
-        r_s=r_s,
-        q_bar_11=q_bar,
-        e_z=0.0,
-        y_11=eta_a * eta_b / 2.0,
-        e_11=e_11,
-        raw_rate=raw,
-        rate=max(raw, 0.0),
-    )

@@ -17,7 +17,6 @@ generator per stream index.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ __all__ = [
     "pair_clicks",
     "sift_and_map",
     "estimate_statistics",
-    "write_pair_trace",
 ]
 
 PHASE_SLICES = 16
@@ -316,23 +314,3 @@ def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
         e_z_hat=_estimate(z_errors, z_pairs),
         q_bar_hat=_estimate(single_photon, z_pairs),
     )
-
-
-def write_pair_trace(pairs: Pairs, path: str) -> None:
-    """Dump one CSV row per pair: i, j, basis, kappa_a, kappa_b, error."""
-    # UNSET (-1) indexes the last entry, the empty field
-    basis_text = np.array(BASES + ("",))
-    bit_text = np.array(["0", "1", ""])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["i", "j", "basis", "kappa_a", "kappa_b", "error"])
-        writer.writerows(
-            zip(
-                pairs.i.tolist(),
-                pairs.j.tolist(),
-                basis_text[pairs.basis].tolist(),
-                bit_text[pairs.kappa_a].tolist(),
-                bit_text[pairs.kappa_b].tolist(),
-                bit_text[pairs.error].tolist(),
-            )
-        )

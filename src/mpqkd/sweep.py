@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import product
 from typing import Any, Iterable
@@ -362,6 +362,15 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def __getattr__(name: str) -> Any:
+    # The pool module loads multiprocessing, so it loads when a pool starts.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Expand and evaluate a sweep; writes the CSV when an output path is set.
 
@@ -376,7 +385,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     problems = list(dict.fromkeys(p for p in map(_problem, tasks) if p is not None))
     workers = min(spec.workers, len(problems), _cpu_count())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Read off the module when a pool starts, so that a replacement set
+        # on it is used and the pool module loads only here.
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             optima = dict(zip(problems, pool.map(_optimize, problems)))
     else:
         optima = dict(zip(problems, map(_optimize, problems)))

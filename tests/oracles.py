@@ -6,7 +6,13 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from mpqkd.model import linearized_key_rate
+from mpqkd.model import (
+    KeyRateBreakdown,
+    ModelDegenerateError,
+    Scenario,
+    binary_entropy,
+    pairing_rate,
+)
 from mpqkd.optimize import (
     _GRID_RESOLUTION,
     _GRID_TIE_TOL,
@@ -20,9 +26,52 @@ from mpqkd.optimize import (
 )
 
 
+def linearized_key_rate(scenario: Scenario) -> KeyRateBreakdown:
+    """Small-intensity closed-form model used as an optimizer oracle.
+
+    Dark counts are dropped and the click probability is Taylor-linearized,
+    which collapses the intermediates to:
+
+        p     = (eta_a mu_a + eta_b mu_b) / 2
+        r_s   = eta_a eta_b mu_a mu_b / (8 p^2)
+        q_bar = exp(-mu_a - mu_b)
+        e_z   = 0,  e_11 = e_d
+
+    The pairing rate keeps its two limit forms exactly: p/2 for an unbounded
+    interval and p^2 for lam == 1 (small-p limit); other intervals use the
+    finite formula on the linearized p.
+    """
+    eta_a, eta_b = scenario.eta_a, scenario.eta_b
+    mu_a, mu_b = scenario.mu_a, scenario.mu_b
+    p = (eta_a * mu_a + eta_b * mu_b) / 2.0
+    if p <= 0.0:
+        raise ModelDegenerateError("zero click probability in linearized model")
+    if math.isinf(scenario.lam):
+        r_p = p / 2.0
+    elif scenario.lam == 1:
+        r_p = p * p
+    else:
+        r_p = pairing_rate(p, scenario.lam)
+    r_s = eta_a * eta_b * mu_a * mu_b / (8.0 * p * p)
+    q_bar = math.exp(-mu_a - mu_b)
+    e_11 = scenario.params.e_d
+    raw = r_p * r_s * q_bar * (1.0 - binary_entropy(e_11))
+    return KeyRateBreakdown(
+        p=p,
+        r_p=r_p,
+        r_s=r_s,
+        q_bar_11=q_bar,
+        e_z=0.0,
+        y_11=eta_a * eta_b / 2.0,
+        e_11=e_11,
+        raw_rate=raw,
+        rate=max(raw, 0.0),
+    )
+
+
 class LinearizedProblem(OptimizationProblem):
     """An optimization problem whose objective is the linearized closed-form
-    model (:func:`mpqkd.model.linearized_key_rate`), so the optimizer can be
+    model (:func:`linearized_key_rate`), so the optimizer can be
     checked against the model's closed-form stationary points.  Its grid is
     one scalar evaluation per point."""
 

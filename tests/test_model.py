@@ -21,14 +21,13 @@ from mpqkd.model import (
     distance_from_transmittance,
     key_rate,
     key_rate_grid,
-    linearized_key_rate,
     make_scenario,
     pairing_rate,
     parse_pairing_interval,
     transmittance_from_distance,
     x_gain_and_phase_error,
 )
-from oracles import chain_pairing_rate
+from oracles import chain_pairing_rate, linearized_key_rate
 
 PARAMS = SystemParams()
 NO_DARK = SystemParams(p_d=0.0)

@@ -18,7 +18,6 @@ from mpqkd.montecarlo import (
     pair_clicks,
     sift_and_map,
     simulate_rounds,
-    write_pair_trace,
 )
 
 NO_DARK = SystemParams(p_d=0.0)
@@ -440,20 +439,3 @@ class TestEstimateStatistics:
                 ok &= abs(est.value - reference) <= band
             passed += ok
         assert passed >= math.ceil(0.95 * n_seeds)
-
-
-class TestPairTrace:
-    def test_column_order_and_content(self, tmp_path):
-        sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
-        rounds = simulate_rounds(sc, 200_000, seed=41)
-        pairs = sifted_pipeline(sc, rounds)
-        path = tmp_path / "trace.csv"
-        write_pair_trace(pairs, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,j,basis,kappa_a,kappa_b,error"
-        assert len(lines) == len(pairs) + 1
-        first_z = int(np.flatnonzero(pairs.basis == BASES.index("Z"))[0])
-        row = lines[1 + first_z].split(",")
-        assert row[0] == str(pairs.i[first_z]) and row[1] == str(pairs.j[first_z])
-        assert row[2] == "Z"
-        assert row[5] in ("0", "1")
