@@ -6,6 +6,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from mpqkd.decoy import DecoyConfig, DecoyObservables, PairIntensityVector
 from mpqkd.model import (
     KeyRateBreakdown,
     ModelDegenerateError,
@@ -191,3 +192,50 @@ def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     a, b, polish_steps = _newton_polish(rate, *x.tolist())
     r_star = rate(a, b)
     return OptimumReport(a, b, r_star, iterations + polish_steps, _stationary(rate, a, b, r_star))
+
+
+def vacuum_weak_decoy_basis(totals, errors, weak, signal):
+    """Closed-form vacuum + weak-decoy bounds of one basis: a lower bound on
+    the (1, 1) class's yield y_11 and an upper bound on its error yield
+    e_11 y_11, from the observables at the pair sums {0, weak, signal} per
+    party (Xu, Curty, Qi, Lo, New J. Phys. 15, 113007 (2013); Zhou, Yu, Wang,
+    Phys. Rev. A 93, 042324 (2016)).
+
+    With G(A, B) = exp(A + B) Q(A, B) = sum_k A**k_a B**k_b / (k_a! k_b!) y_k,
+    H = G(nu_a, nu_b) - G(nu_a, 0) - G(0, nu_b) is the sum over classes with
+    a photon from each party, less y_00.  H' is the same at the signal sums,
+    r = max(nu_a / mu_a, nu_b / mu_b) and c = r nu_a nu_b / (mu_a mu_b), so
+    H - c H' weighs y_11 by nu_a nu_b (1 - r) and every other class with a
+    photon from each party by at most 0; the y_00 term, whose weight is
+    1 - c >= 0, is dropped.  The error yields give H_E + e_00 >= nu_a nu_b
+    e_11 y_11, with e_00 <= min(G_E(nu_a, 0), G_E(0, nu_b)).
+    """
+    (nu_a, nu_b), (mu_a, mu_b) = weak, signal
+
+    def g(observed, a, b):
+        return math.exp(a + b) * observed[PairIntensityVector(a, b)]
+
+    def h(observed, a, b):
+        return g(observed, a, b) - g(observed, a, 0.0) - g(observed, 0.0, b)
+
+    r = max(nu_a / mu_a, nu_b / mu_b)
+    c = r * nu_a * nu_b / (mu_a * mu_b)
+    y_11 = (h(totals, nu_a, nu_b) - c * h(totals, mu_a, mu_b)) / (nu_a * nu_b * (1.0 - r))
+    vacuum_error = min(g(errors, nu_a, 0.0), g(errors, 0.0, nu_b))
+    return y_11, (h(errors, nu_a, nu_b) + vacuum_error) / (nu_a * nu_b)
+
+
+def vacuum_weak_decoy_bounds(observables: DecoyObservables, config: DecoyConfig):
+    """(m_z_11_lower, e_z_11_upper, m_x_11_lower, e_x_11_upper) in closed
+    form: :func:`vacuum_weak_decoy_basis` on the Z sums {0, nu, mu} and on
+    the X sums {0, 2 nu, 2 mu}.  The lower bounds are not clamped at 0."""
+    weak, signal = (config.nu_a, config.nu_b), (config.mu_a, config.mu_b)
+    return (
+        *vacuum_weak_decoy_basis(observables.z_total, observables.z_error, weak, signal),
+        *vacuum_weak_decoy_basis(
+            observables.x_total,
+            observables.x_error,
+            tuple(2.0 * nu for nu in weak),
+            tuple(2.0 * mu for mu in signal),
+        ),
+    )

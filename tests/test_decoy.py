@@ -2,7 +2,10 @@
 import functools
 import math
 import random
-from dataclasses import replace
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -31,6 +34,7 @@ from mpqkd.decoy import (
 )
 from mpqkd.decoy import _EQUALITY_TOL
 from mpqkd.model import SystemParams, click_prob_given_photons, key_rate, make_scenario
+from oracles import vacuum_weak_decoy_bounds
 
 # Dark-count rates spanning none, the default and strongly noisy detectors.
 DARK_COUNT_RATES = (0.0, 1.2e-8, 1e-4, 1e-2)
@@ -592,6 +596,108 @@ class TestBounds:
             bounds = bound_single_photon(expected_observables(sc, cfg), cfg)
             assert bounds.m_z_11_lower <= single_photon_z_yield(sc) * (1 + 1e-9)
             assert bounds.e_z_11_upper >= single_photon_z_error_yield(sc) * (1 - 1e-9)
+
+
+def hex_bounds(bounds):
+    return tuple(None if value is None else float(value).hex() for value in astuple(bounds))
+
+
+class TestBasesAtOnce:
+    """The X basis solves on a worker thread while the caller solves Z."""
+
+    @pytest.mark.parametrize("error", [ObservablesInconsistentError, RuntimeError])
+    def test_x_failure_keeps_its_type(self, error):
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        expected = bound_single_photon(obs, cfg)
+        real = mpqkd.decoy._solve_basis_lp
+
+        def x_fails(settings, totals, errors):
+            if totals is obs.x_total:
+                raise error("injected X failure")
+            return real(settings, totals, errors)
+
+        with mock.patch.object(mpqkd.decoy, "_solve_basis_lp", x_fails):
+            with pytest.raises(error, match="injected X failure") as raised:
+                bound_single_photon(obs, cfg)
+        assert type(raised.value) is error
+        # the worker serves the next bound
+        assert bound_single_photon(obs, cfg) == expected
+
+    def test_z_failure_waits_for_x(self):
+        # X finishes, and fails too, well after Z fails: the call waits for
+        # X and raises Z's error
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        real = mpqkd.decoy._solve_basis_lp
+        x_done = threading.Event()
+
+        def z_fails(settings, totals, errors):
+            if totals is obs.z_total:
+                raise ObservablesInconsistentError("injected Z failure")
+            real(settings, totals, errors)
+            time.sleep(0.1)
+            x_done.set()
+            raise RuntimeError("injected X failure")
+
+        with mock.patch.object(mpqkd.decoy, "_solve_basis_lp", z_fails):
+            with pytest.raises(ObservablesInconsistentError, match="injected Z failure"):
+                try:
+                    bound_single_photon(obs, cfg)
+                finally:
+                    finished = x_done.is_set()
+        assert finished
+
+    def test_concurrent_callers_get_serial_bounds(self):
+        problems = []
+        for distance_a in (40.0, 70.0, 100.0, 130.0):
+            sc = make_scenario(
+                distance_a, distance_a + 50.0, 0.2402, 0.7594, 1e6, nu_a=0.05, nu_b=0.05
+            )
+            cfg = decoy_config_for(sc)
+            problems.append((expected_observables(sc, cfg), cfg))
+        serial = [hex_bounds(bound_single_photon(*problem)) for problem in problems]
+        start = threading.Barrier(len(problems))
+
+        def solve(problem):
+            start.wait()
+            return hex_bounds(bound_single_photon(*problem))
+
+        with ThreadPoolExecutor(max_workers=len(problems)) as callers:
+            assert list(callers.map(solve, problems)) == serial
+
+
+class TestClosedFormOracle:
+    """The LP against the vacuum + weak-decoy bound on criterion 11's ranges:
+    a valid bound built from a subset of the LP's constraints cannot be
+    tighter than the LP optimum.  The upper bounds get 1% because HiGHS's
+    e_x_11_upper sits up to 0.53% above the closed form at nu / mu = 0.001."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        distance_a=st.floats(40.0, 120.0),
+        gap=st.floats(0.0, 60.0),
+        mu_a=st.floats(0.2, 0.9),
+        mu_b=st.floats(0.2, 0.9),
+        nu_frac_a=st.floats(0.1, 0.35),
+        nu_frac_b=st.floats(0.1, 0.35),
+    )
+    def test_lp_at_least_as_tight(self, distance_a, gap, mu_a, mu_b, nu_frac_a, nu_frac_b):
+        nu_a, nu_b = mu_a * nu_frac_a, mu_b * nu_frac_b
+        sc = make_scenario(distance_a, distance_a + gap, mu_a, mu_b, 1e6, nu_a=nu_a, nu_b=nu_b)
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        m_z, e_z, m_x, e_x = vacuum_weak_decoy_bounds(obs, cfg)
+        bounds = bound_single_photon(obs, cfg)
+        assert m_z <= bounds.m_z_11_lower
+        assert m_x <= bounds.m_x_11_lower
+        assert bounds.e_z_11_upper <= e_z * (1 + 1e-2)
+        assert bounds.e_x_11_upper <= e_x * (1 + 1e-2)
+        # the oracle brackets the truth on its own
+        assert m_z <= single_photon_z_yield(sc) * (1 + 1e-9)
+        assert e_z >= single_photon_z_error_yield(sc) * (1 - 1e-9)
 
 
 class TestLinearProgram:

@@ -5,12 +5,15 @@ scipy's HiGHS core loads with the first decoy LP, straight from its
 extension file: no LP loads ``scipy.optimize``, yet scipy's own ``linprog``
 and ``mpqkd.decoy.load_highs`` share one core in either load order.  The
 process-pool module (and with it ``multiprocessing``) loads only when a
-pool starts.
+pool starts, and ``concurrent.futures`` with the first pool or the first
+decoy bound, whose X basis solves on a worker thread.
 """
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import mpqkd
 
@@ -22,14 +25,16 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import mpqkd
-report = {"import": scipy_modules()}
+report = {"import": scipy_modules(), "futures": ["concurrent.futures" in sys.modules]}
 from mpqkd.cli import main
 report["run_code"] = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
 report["run"] = scipy_modules()
 report["run_pool"] = "multiprocessing" in sys.modules
+report["futures"].append("concurrent.futures" in sys.modules)
 report["optimize_code"] = main(["optimize", "--la", "80", "--delta", "7.5", "--lambda", "1000"])
 report["optimize"] = scipy_modules()
 report["optimize_pool"] = "multiprocessing" in sys.modules
+report["futures"].append("concurrent.futures" in sys.modules)
 report["verify_code"] = main(["verify", "--config", sys.argv[3]])
 report["verify"] = scipy_modules()
 print(json.dumps(report))
@@ -72,6 +77,52 @@ except ImportError as exc:
     print(json.dumps([str(exc), "scipy.optimize._highspy._core" in sys.modules]))
 """
 
+# The first LP is a bound, whose two threads both need the core: it loads
+# once, on the calling thread.
+_FIRST_BOUND = """
+import json, sys, threading, time
+import mpqkd.decoy as decoy
+from mpqkd.model import make_scenario
+
+calls = []
+real = decoy._import_highs_core
+
+def slow_import():
+    calls.append(threading.current_thread().name)
+    time.sleep(0.05)  # time for a second thread to reach the uncached loader
+    return real()
+
+decoy._import_highs_core = slow_import
+scenario = make_scenario(100.0, 150.0, 0.2402, 0.7594, 1e6, nu_a=0.05, nu_b=0.05)
+config = decoy.decoy_config_for(scenario)
+decoy.bound_single_photon(decoy.expected_observables(scenario, config), config)
+core = sys.modules["scipy.optimize._highspy._core"]
+print(json.dumps({"calls": calls, "same": core is decoy.load_highs()[0]}))
+"""
+
+# A child forked after a bound has the parent's worker executor but not its
+# thread; a bound there that waited on it would hang until the alarm.
+_FORKED_BOUND = """
+import json, os, signal
+from mpqkd.decoy import bound_single_photon, decoy_config_for, expected_observables
+from mpqkd.model import make_scenario
+
+scenario = make_scenario(100.0, 150.0, 0.2402, 0.7594, 1e6, nu_a=0.05, nu_b=0.05)
+config = decoy_config_for(scenario)
+observables = expected_observables(scenario, config)
+parent = bound_single_photon(observables, config)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    code = 1
+    try:
+        code = 0 if bound_single_photon(observables, config) == parent else 2
+    finally:
+        os._exit(code)
+_, status = os.waitpid(pid, 0)
+print(json.dumps({"child_exit": os.waitstatus_to_exitcode(status)}))
+"""
+
 # The ``verify`` config of the entry-point probe: one point, 20 000 rounds.
 # The CI workflow runs the installed ``mpqkd-sim verify`` on it as well.
 VERIFY_CONFIG = {
@@ -110,6 +161,7 @@ def test_scipy_loads_only_where_an_lp_is_solved(tmp_path):
     assert (report["run_code"], report["run"], report["run_pool"]) == (0, [], False)
     assert (report["optimize_code"], report["optimize"]) == (0, [])
     assert report["optimize_pool"] is False
+    assert report["futures"] == [False, False, False]  # after import, run and optimize
     assert report["verify_code"] in (0, 3)  # 3: a statistical check failed
     assert "scipy.optimize._highspy._core" in report["verify"]
     assert "scipy.optimize" not in report["verify"]
@@ -127,3 +179,12 @@ def test_failed_load_leaves_no_module(tmp_path):
     message, left = run_probe(_FAILED_LOAD, cwd=tmp_path)
     assert message.startswith("decoy LPs need scipy>=1.15")
     assert left is False
+
+
+def test_first_bound_loads_the_core_once(tmp_path):
+    assert run_probe(_FIRST_BOUND, cwd=tmp_path) == {"calls": ["MainThread"], "same": True}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_bound_in_forked_child(tmp_path):
+    assert run_probe(_FORKED_BOUND, cwd=tmp_path) == {"child_exit": 0}
