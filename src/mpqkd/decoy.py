@@ -397,27 +397,21 @@ def _solve_basis_lp(
     with the observables; (0, 1) when no setting was observed.
 
     Unknowns are the per-photon-class yields m_k and error yields e_k on the
-    truncated grid, plus one tail slack per observable equation bounded by
-    the truncated Poisson mass (yields never exceed 1).  Each equation is two
-    inequality rows with a relative tolerance; e_k <= m_k closes the system.
+    truncated grid, plus one tail slack per observable bounded by the
+    truncated Poisson mass (yields never exceed 1).  Each observable is one
+    row ranged by a relative tolerance; e_k <= m_k closes the system.
 
     The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
     per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
     the last bit in ~3% of them, which moves the bounds by up to 1.5e-10
     relative.  One ``HighsLp`` is built per basis, its column-wise matrix
     straight from the nonzero weights, and solved twice: only the objective
-    changes between the solves.  HiGHS gets the model and options that
-    scipy's ``linprog(method="highs")`` would give it.  The matrix rows stay
-    in the order +m, -m, +e, -e per setting, then e_k <= m_k, and each column
-    lists its rows in increasing order, as linprog's ``tocsc`` would.  The order
-    matters: HiGHS's path depends on it, and grouping all "+" rows before
-    all "-" rows moved the bounds by up to 1.2e-4 relative.
+    changes between the solves.
     """
     if not settings:
         return 0.0, 1.0
     n = (_K_MAX + 1) ** 2
     n_settings = len(settings)
-    n_rows = 4 * n_settings + n
     n_vars = 2 * n + 2 * n_settings
 
     # Weights of the (k_a, k_b) classes in row-major order, one row per setting.
@@ -430,33 +424,25 @@ def _solve_basis_lp(
     tails = np.maximum(1.0 - weights.sum(axis=1), 0.0)
 
     # Work in units of the largest observable: yields and slacks scale by
-    # 1/unit, keeping all right-hand sides within a few decades of 1.  The
-    # raw observables sit as low as 1e-13, far below solver feasibility
+    # 1/unit, keeping all row bounds within a few decades of 1.  The raw
+    # observables sit as low as 1e-13, far below solver feasibility
     # tolerances.
     observed = np.array([[totals[vec], errors[vec]] for vec in settings])
-    unit = max(observed[:, 0].max(), 1e-300)
+    unit = max(float(observed[:, 0].max()), 1e-300)
     # Relative equality tolerance: an absolute 1e-10 slack would swamp the
     # dark-count-dominated observables.
-    scaled = observed / unit
+    scaled = (observed / unit).ravel()  # row 2 s is setting s's m, 2 s + 1 its e
     tol = _EQUALITY_TOL * scaled
-    # Rows: +m, -m, +e, -e per setting, then e_k <= m_k.
-    b_ub = np.concatenate([np.stack([scaled + tol, -(scaled - tol)], axis=2).ravel(), np.zeros(n)])
 
-    # Entries (row, column, value).  Row 4 s + j is setting s's +m, -m, +e or
-    # -e row: it weighs the m_k (j < 2) or the e_k columns, and the matching
-    # slack of the setting.  Row 4 S + k is e_k - m_k <= 0.
+    # Entries (row, column, value): the weights of the m rows on the m_k
+    # columns and of the e rows on the e_k columns, each row's +1 on its own
+    # slack, then row 2 S + k, e_k - m_k <= 0.
     setting, k = np.nonzero(weights)
     w = weights[setting, k]
     s, i = np.arange(n_settings), np.arange(n)
-    rows, cols, vals = [], [], []
-    for j, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
-        is_error = j // 2
-        rows += [4 * setting + j, 4 * s + j]
-        cols += [is_error * n + k, 2 * n + is_error * n_settings + s]
-        vals += [sign * w, np.full(n_settings, sign)]
-    rows += [4 * n_settings + i] * 2
-    cols += [i, n + i]
-    vals += [np.full(n, -1.0), np.ones(n)]
+    rows = [2 * setting, 2 * setting + 1, 2 * s, 2 * s + 1, 2 * n_settings + i, 2 * n_settings + i]
+    cols = [k, n + k, 2 * n + s, 2 * n + n_settings + s, i, n + i]
+    vals = [w, w, np.ones(2 * n_settings), np.full(n, -1.0), np.ones(n)]
     rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
     order = np.lexsort((rows, cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_vars))])
@@ -464,7 +450,7 @@ def _solve_basis_lp(
     core, _ = load_highs()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n_settings + n
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     # The matrix fields copy element by element; from a list that is twice
     # as fast as from an array, and HiGHS gets the same numbers.
@@ -473,8 +459,8 @@ def _solve_basis_lp(
     lp.a_matrix_.value_ = vals[order].tolist()
     lp.col_lower_ = np.zeros(n_vars)
     lp.col_upper_ = np.concatenate([np.ones(2 * n), tails, tails]) / unit
-    lp.row_lower_ = np.full(n_rows, -core.kHighsInf)
-    lp.row_upper_ = b_ub
+    lp.row_lower_ = np.concatenate([scaled - tol, np.full(n, -core.kHighsInf)])
+    lp.row_upper_ = np.concatenate([scaled + tol, np.zeros(n)])
 
     target = _K_MAX + 2  # the (1, 1) class
     results = []

@@ -112,6 +112,12 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # Types first: the value checks below would raise TypeError on a string.
+        types = [
+            _type_problem(f.name, getattr(self, f.name), from_json=False) for f in fields(self)
+        ]
+        if any(types):
+            raise SweepValidationError("; ".join(filter(None, types)))
         problems: list[str] = []
         if self.mode not in MODES:
             problems.append(f"mode: must be one of {MODES}, got {self.mode!r}")
@@ -207,24 +213,29 @@ def load_spec(source: str | dict[str, Any]) -> SweepSpec:
     return SweepSpec(**data)
 
 
-def _is_number(value: Any) -> bool:
-    """A finite JSON number: Python's json also reads NaN, Infinity and -Infinity."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _is_number(value: Any, finite: bool) -> bool:
+    """A real number and not a bool; also finite, when asked."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (not finite or math.isfinite(value))
 
 
-def _type_problem(name: str, value: Any) -> str | None:
-    """Why a spec value has the wrong JSON type for its key, or None."""
+def _type_problem(name: str, value: Any, from_json: bool = True) -> str | None:
+    """Why a spec value has the wrong type for its key, or None.  A JSON
+    number must be finite (Python's json reads NaN and Infinity too), and a
+    JSON lambda_list may hold strings such as "inf"; a spec built in Python
+    may hold NaN and inf, which its value checks judge, and no strings."""
     if value is None or name in ("mode", "out", "seed", "n_rounds", "workers"):
         return None  # optional keys; SweepSpec checks the mode, out and the integers
     if name == "methods":
-        return None if isinstance(value, list) else f"methods: must be a list, got {value!r}"
+        ok = isinstance(value, (list, tuple))
+        return None if ok else f"methods: must be a list, got {value!r}"
     if name.endswith("_list"):
-        # lambda_list also takes strings such as "inf" (parse_pairing_interval)
-        ok = isinstance(value, list) and all(
-            _is_number(v) or (name == "lambda_list" and isinstance(v, str)) for v in value
+        ok = isinstance(value, (list, tuple)) and all(
+            _is_number(v, from_json) or (from_json and name == "lambda_list" and isinstance(v, str))
+            for v in value
         )
         return None if ok else f"{name}: must be a list of numbers, got {value!r}"
-    return None if _is_number(value) else f"{name}: must be a number, got {value!r}"
+    return None if _is_number(value, from_json) else f"{name}: must be a number, got {value!r}"
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,25 @@ class TestSpecParsing:
             SweepSpec(**{**base, "delta_list": (50.0, gap)})
 
     @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("distance_start", "5", "distance_start: must be a number, got '5'"),
+            ("distance_step", True, "distance_step: must be a number, got True"),
+            ("mu_a", "0.3", "mu_a: must be a number, got '0.3'"),
+            ("delta_list", (0, "a"), "delta_list: must be a list of numbers, got (0, 'a')"),
+            ("lambda_list", ("inf",), "lambda_list: must be a list of numbers, got ('inf',)"),
+            ("e_d_list", (None,), "e_d_list: must be a list of numbers, got (None,)"),
+            ("delta_list", 50, "delta_list: must be a list of numbers, got 50"),
+        ],
+    )
+    def test_non_numbers_rejected_at_construction(self, name, value, message):
+        # a spec built in Python gets the messages of load_spec's JSON check
+        base = {**CUSTOM_BASE, "lambda_list": (100.0,), "e_d_list": (0.04,), "methods": ("OI",)}
+        with pytest.raises(SweepValidationError) as error:
+            SweepSpec(**{**base, name: value})
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
         "name, value",
         [
             ("workers", math.nan),
