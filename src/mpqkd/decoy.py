@@ -232,7 +232,10 @@ class DecoyObservables:
     x_error: Mapping[PairIntensityVector, float]
 
     def __post_init__(self) -> None:
-        for totals, errors in ((self.z_total, self.z_error), (self.x_total, self.x_error)):
+        bases = {"Z": (self.z_total, self.z_error), "X": (self.x_total, self.x_error)}
+        for basis, (totals, errors) in bases.items():
+            if totals.keys() != errors.keys():
+                raise ValueError(f"{basis} totals and errors must cover the same settings")
             for vec, total in totals.items():
                 err = errors[vec]
                 if not 0.0 <= err <= total + 1e-15 or total > 1.0 + 1e-12:
@@ -472,42 +475,30 @@ def _solve_basis_lp(
     return results[0], results[1]
 
 
-@functools.cache
-def _x_basis_worker() -> object:
-    """The one thread that solves the X basis of every bound."""
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, paid by the first bound
-
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="mpqkd-decoy")
-
-
-if hasattr(os, "register_at_fork"):
-    # A forked child inherits the executor but not its thread: it makes its own.
-    os.register_at_fork(after_in_child=_x_basis_worker.cache_clear)
-
-
 def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> DecoyBounds:
     """Linear-program bounds on the single-photon pair statistics.
 
     Z and X bases are bounded independently with the same machinery, and at
-    the same time: HiGHS releases the GIL while it solves, so one worker
-    thread solves X while the calling thread solves Z.  Each basis gets the
-    models, options and solve order it would get alone, so the bounds are bit
-    for bit those of solving the bases in turn.  X has finished before the
-    call returns or raises; an error of Z is raised in preference to one of X.
+    the same time: HiGHS releases the GIL while it solves, so a worker
+    thread of this call solves X while the calling thread solves Z.  Each
+    basis gets the models, options and solve order it would get alone, so
+    the bounds are bit for bit those of solving the bases in turn.  The
+    worker has finished before the call returns or raises; an error of Z is
+    raised in preference to one of X.
     ``q_bar_lower`` projects the Z bound onto the signal setting: the
     Poisson weight of the (1, 1) class times its yield bound, over the
     setting's detected ratio (0 when the signal setting is not bounded).
     """
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, paid by the first bound
+
     load_highs()  # here, so that the two threads cannot both load the core
     x_settings = [vec for vec in config.x_settings() if vec in observables.x_total]
-    x_bounds = _x_basis_worker().submit(
-        _solve_basis_lp, x_settings, observables.x_total, observables.x_error
-    )
-    try:
-        z_settings = [vec for vec in config.z_settings() if vec in observables.z_total]
+    z_settings = [vec for vec in config.z_settings() if vec in observables.z_total]
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mpqkd-decoy") as worker:
+        x_bounds = worker.submit(
+            _solve_basis_lp, x_settings, observables.x_total, observables.x_error
+        )
         m_z_lower, e_z_upper = _solve_basis_lp(z_settings, observables.z_total, observables.z_error)
-    finally:
-        x_bounds.exception()  # waits for X without raising its error
     m_x_lower, e_x_upper = x_bounds.result()
 
     signal = config.signal_vector()

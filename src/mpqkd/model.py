@@ -50,6 +50,10 @@ __all__ = [
     "key_rate_grid",
 ]
 
+# Error probability of a detection that no signal photon caused: a random bit.
+E_0 = 0.5
+
+
 class ModelDegenerateError(ValueError):
     """A requested ratio is undefined because its conditioning event has
     zero probability (no clicks, or no effective pairs)."""
@@ -69,7 +73,6 @@ class SystemParams:
     p_d: float = 1.2e-8
     f: float = 1.15
     e_d: float = 0.04
-    e_0: float = 0.5
 
     def __post_init__(self) -> None:
         # written so that NaN fails each check
@@ -81,11 +84,9 @@ class SystemParams:
             raise ValueError(f"dark-count probability must be in [0, 1), got {self.p_d}")
         if not 1.0 <= self.f < math.inf:
             raise ValueError(f"error-correction efficiency must be finite and >= 1, got {self.f}")
-        # 0.5 permitted so the all-noise limit e_d == e_0 stays constructible.
+        # 0.5 permitted so the all-noise limit e_d == E_0 stays constructible.
         if not 0.0 <= self.e_d <= 0.5:
             raise ValueError(f"misalignment error must be in [0, 0.5], got {self.e_d}")
-        if self.e_0 != 0.5:
-            raise ValueError(f"vacuum error probability is fixed at 0.5, got {self.e_0}")
 
 
 def transmittance_from_distance(distance_km: float, params: SystemParams) -> float:
@@ -210,9 +211,9 @@ def _where(condition, value, otherwise):
     return value if condition else otherwise
 
 
-def _any(condition) -> bool:
-    """Whether any element of an array condition, or a scalar one, holds."""
-    return bool(condition.any()) if isinstance(condition, np.ndarray) else condition
+def _all(condition) -> bool:
+    """Whether every element of an array condition, or a scalar one, holds."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else condition
 
 
 def click_prob_given_mean(x, p_d: float):
@@ -256,12 +257,12 @@ def pairing_rate(p, lam: float):
     fixed intensities the key rate grows by less than a factor lam from
     lam == 1 to lam.
     """
-    if _any((p < 0.0) | (p > 1.0)):
+    if not _all((p >= 0.0) & (p <= 1.0)):  # written so that NaN fails
         raise ValueError(f"click probability must be in [0, 1], got {p}")
-    if math.isinf(lam):
+    if not is_pairing_interval(lam):
+        raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {lam}")
+    if lam == math.inf:
         return p / 2.0
-    if lam < 1:
-        raise ValueError(f"pairing interval must be >= 1 or inf, got {lam}")
     xp = _namespace(p)
     # The endpoints are evaluated at an interior point and replaced by p/2,
     # where the logarithm and the reciprocals below are undefined.
@@ -282,15 +283,15 @@ def x_gain_and_phase_error(scenario: Scenario) -> tuple[float, float]:
     )
     if gain <= 0.0:
         raise ModelDegenerateError("zero single-photon gain: phase error undefined")
-    e_0, e_d = scenario.params.e_0, scenario.params.e_d
-    error = (e_0 * gain - (e_0 - e_d) * (1.0 - p_d * p_d) * eta_a * eta_b / 2.0) / gain
+    e_d = scenario.params.e_d
+    error = (E_0 * gain - (E_0 - e_d) * (1.0 - p_d * p_d) * eta_a * eta_b / 2.0) / gain
     return gain, error
 
 
 def binary_entropy(x):
     """Binary entropy in bits of a float or an array, with H(0) = H(1) = 0
     by continuity."""
-    if _any((x < 0.0) | (x > 1.0)):
+    if not _all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
     xp = _namespace(x)
     edge = (x == 0.0) | (x == 1.0)
@@ -331,7 +332,7 @@ def _key_rate_terms(scenario: Scenario, mu_a, mu_b) -> KeyRateBreakdown:
     p = (((pr00 + pr01) + pr10) + pr11) / 4.0
     same, cross = pr00 * pr11, pr01 * pr10
     pairs = same + cross
-    if _any(pairs <= 0.0):
+    if not _all(pairs > 0.0):
         raise ModelDegenerateError("zero Z-pair probability: key rate undefined")
     r_p = pairing_rate(p, scenario.lam)
     r_s = 2.0 * pairs / (16.0 * p * p)
@@ -371,7 +372,11 @@ def key_rate_grid(scenario: Scenario, mu_a: np.ndarray, mu_b: np.ndarray) -> np.
     intensity-independent ones (the single-photon yields, the X-basis gain
     and phase error) are the memoized floats :func:`key_rate` uses.  numpy's
     exp/expm1/log differ from ``math`` in the last bit on some inputs, so a
-    value can differ from ``key_rate(...).rate`` by a few ulps.
+    value can differ from ``key_rate(...).rate`` by a few ulps.  Intensities
+    outside (0, 1], as :class:`Scenario` has them, raise ValueError.
     """
     mu_a, mu_b = np.asarray(mu_a, dtype=float), np.asarray(mu_b, dtype=float)
+    for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)):
+        if not ((mu > 0.0) & (mu <= 1.0)).all():  # written so that NaN fails
+            raise ValueError(f"{name} must be in (0, 1], got {mu}")
     return _key_rate_terms(scenario, mu_a, mu_b).rate

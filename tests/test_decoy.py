@@ -33,7 +33,7 @@ from mpqkd.decoy import (
     single_photon_z_yield,
 )
 from mpqkd.decoy import _EQUALITY_TOL
-from mpqkd.model import SystemParams, click_prob_given_photons, key_rate, make_scenario
+from mpqkd.model import E_0, SystemParams, click_prob_given_photons, key_rate, make_scenario
 from oracles import vacuum_weak_decoy_bounds
 
 # Dark-count rates spanning none, the default and strongly noisy detectors.
@@ -56,7 +56,7 @@ def fold_observables(scenario, config):
     Returns the OBSERVABLES dicts in order, keyed like
     :class:`DecoyObservables`.
     """
-    e_0, e_d = scenario.params.e_0, scenario.params.e_d
+    e_d = scenario.params.e_d
 
     @functools.cache
     def click(n_a, n_b, dark):
@@ -88,7 +88,7 @@ def fold_observables(scenario, config):
         # Vacuum-noise error on every detection, reduced to the misalignment
         # error on the photon-only coincidences.
         total = x_yield(k_a, k_b, True)
-        return total, e_0 * total - (e_0 - e_d) * x_yield(k_a, k_b, False)
+        return total, E_0 * total - (E_0 - e_d) * x_yield(k_a, k_b, False)
 
     def fold(settings, yields):
         totals, errors = {}, {}
@@ -497,6 +497,16 @@ class TestObservables:
         with pytest.raises(ValueError):
             DecoyObservables({vec: 1e-9}, {vec: 2e-9}, {}, {})
 
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("missing", ["error", "total"])
+    def test_observable_constructor_rejects_mismatched_settings(self, basis, missing):
+        vec = PairIntensityVector(0.5, 0.5)
+        entry = {vec: 1e-9}
+        pair = ({}, entry) if missing == "total" else (entry, {})
+        observables = (*pair, {}, {}) if basis == "Z" else ({}, {}, *pair)
+        with pytest.raises(ValueError, match=f"{basis} totals and errors must cover"):
+            DecoyObservables(*observables)
+
 
 class TestBounds:
     def test_bracketing_reference_point(self):
@@ -581,12 +591,9 @@ def hex_bounds(bounds):
 class TestBasesAtOnce:
     """The X basis solves on a worker thread while the caller solves Z."""
 
-    @pytest.mark.parametrize("error", [ObservablesInconsistentError, RuntimeError])
-    def test_x_failure_keeps_its_type(self, error):
-        sc = reference_scenario()
-        cfg = decoy_config_for(sc)
-        obs = expected_observables(sc, cfg)
-        expected = bound_single_photon(obs, cfg)
+    @staticmethod
+    def failing_x(obs, error):
+        """Patch in an X basis solve that raises ``error``."""
         real = mpqkd.decoy._solve_basis_lp
 
         def x_fails(settings, totals, errors):
@@ -594,12 +601,35 @@ class TestBasesAtOnce:
                 raise error("injected X failure")
             return real(settings, totals, errors)
 
-        with mock.patch.object(mpqkd.decoy, "_solve_basis_lp", x_fails):
+        return mock.patch.object(mpqkd.decoy, "_solve_basis_lp", x_fails)
+
+    @pytest.mark.parametrize("error", [ObservablesInconsistentError, RuntimeError])
+    def test_x_failure_keeps_its_type(self, error):
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        expected = bound_single_photon(obs, cfg)
+        with self.failing_x(obs, error):
             with pytest.raises(error, match="injected X failure") as raised:
                 bound_single_photon(obs, cfg)
         assert type(raised.value) is error
-        # the worker serves the next bound
+        # the failure leaves nothing behind for the next bound
         assert bound_single_photon(obs, cfg) == expected
+
+    def test_no_worker_outlives_its_bound(self):
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+
+        def workers():
+            return [t.name for t in threading.enumerate() if t.name.startswith("mpqkd-decoy")]
+
+        bound_single_photon(obs, cfg)
+        assert workers() == []
+        with self.failing_x(obs, RuntimeError):
+            with pytest.raises(RuntimeError, match="injected X failure"):
+                bound_single_photon(obs, cfg)
+        assert workers() == []
 
     def test_z_failure_waits_for_x(self):
         # X finishes, and fails too, well after Z fails: the call waits for

@@ -6,7 +6,7 @@ extension file: no LP loads ``scipy.optimize``, yet scipy's own ``linprog``
 and ``mpqkd.decoy.load_highs`` share one core in either load order.  The
 process-pool module (and with it ``multiprocessing``) loads only when a
 pool starts, and ``concurrent.futures`` with the first pool or the first
-decoy bound, whose X basis solves on a worker thread.
+decoy bound, each of which solves its X basis on a worker thread of its own.
 """
 import json
 import os
@@ -100,8 +100,9 @@ core = sys.modules["scipy.optimize._highspy._core"]
 print(json.dumps({"calls": calls, "same": core is decoy.load_highs()[0]}))
 """
 
-# A child forked after a bound has the parent's worker executor but not its
-# thread; a bound there that waited on it would hang until the alarm.
+# No executor survives a bound, so a child forked after one has no worker
+# state to reset.  A bound there that waited on a thread the fork did not
+# copy would hang until the alarm.
 _FORKED_BOUND = """
 import json, os, signal
 from mpqkd.decoy import bound_single_photon, decoy_config_for, expected_observables

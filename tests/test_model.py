@@ -59,7 +59,6 @@ class TestParamsAndTypes:
         assert PARAMS.p_d == 1.2e-8
         assert PARAMS.f == 1.15
         assert PARAMS.e_d == 0.04
-        assert PARAMS.e_0 == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -72,7 +71,6 @@ class TestParamsAndTypes:
             {"f": 0.99},
             {"e_d": -0.01},
             {"e_d": 0.51},
-            {"e_0": 0.4},
             {"f": math.inf},
             *({field.name: math.nan} for field in dataclasses.fields(SystemParams)),
         ],
@@ -265,6 +263,22 @@ class TestPairingRate:
         with pytest.raises(ValueError):
             pairing_rate(0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "p, lam",
+        [
+            (math.nan, 10),
+            (np.array([0.5, math.nan]), 10),
+            (0.5, math.nan),
+            (0.5, 2.5),
+            (0.5, -math.inf),
+        ],
+    )
+    def test_rejects_what_scenario_rejects(self, p, lam):
+        # the click probability must lie in [0, 1], the interval be one
+        # Scenario accepts; NaN fails both
+        with pytest.raises(ValueError):
+            pairing_rate(p, lam)
+
     @pytest.mark.parametrize("lam", [1, 2, 3, 10, 100, 1000])
     def test_matches_stationary_pairing_chain(self, lam):
         # the closed form against the pairing rule solved as a Markov chain
@@ -363,7 +377,9 @@ class TestBinaryEntropy:
         assert binary_entropy(0.04) == pytest.approx(expected, rel=1e-14)
         assert binary_entropy(0.04) == pytest.approx(0.2422921890, rel=1e-9)
 
-    @pytest.mark.parametrize("x", [-0.01, 1.01, np.array([0.2, 1.01])])
+    @pytest.mark.parametrize(
+        "x", [-0.01, 1.01, np.array([0.2, 1.01]), math.nan, np.array([0.2, math.nan])]
+    )
     def test_domain(self, x):
         with pytest.raises(ValueError):
             binary_entropy(x)
@@ -597,6 +613,16 @@ class TestKeyRateGrid:
             key_rate_grid(scenario, np.array([0.5]), np.array([0.5]))
         with pytest.raises(error):
             key_rate(scenario)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5, 1.5, 2.0, math.nan])
+    def test_rejects_intensities_scenario_rejects(self, mu):
+        scenario = scenario_at()
+        with pytest.raises(ValueError, match=r"mu_a must be in \(0, 1\]"):
+            key_rate_grid(scenario, np.array([0.5, mu])[:, None], np.array([0.5]))
+        with pytest.raises(ValueError, match=r"mu_b must be in \(0, 1\]"):
+            key_rate_grid(scenario, np.array([0.5]), np.array(mu))
+        with pytest.raises(ValueError, match=r"mu_a must be in \(0, 1\]"):
+            dataclasses.replace(scenario, mu_a=mu)
 
     @settings(max_examples=100, deadline=None)
     @given(**grid_cases)
