@@ -16,6 +16,12 @@ numpy's exp/expm1/log can differ from libm in the last bit and the scalar
 rates are what the optimizer, the CSV output and the Monte Carlo reference
 values are built from.
 
+A scalar evaluation is ~25 floating-point operations, and an optimum takes
+~180 of them, so its ~5 us are interpreter overhead.  To keep it small, the
+chain picks its namespace once and calls the unchecked kernels behind the
+public helpers, :class:`Scenario` checks its fields in one pass, and
+:class:`KeyRateBreakdown` is a named tuple.
+
 Conventions:
     * An arm transmittance ``eta`` includes the detector efficiency, so a
       zero-length fiber has ``eta == eta_d``.
@@ -28,6 +34,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +113,10 @@ def distance_from_transmittance(eta: float, params: SystemParams) -> float:
 
 
 def is_pairing_interval(lam: float) -> bool:
-    """Whether lam is a valid maximal pairing interval: an integer >= 1, or inf."""
+    """Whether lam is a valid maximal pairing interval: an integer >= 1, or
+    inf.  A bool is no interval, though True == 1."""
+    if isinstance(lam, (bool, np.bool_)):
+        return False
     return lam == math.inf or (lam >= 1 and float(lam).is_integer())
 
 
@@ -121,7 +132,7 @@ def parse_pairing_interval(value: str | float) -> float:
         raise ValueError(f"cannot parse pairing interval {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scenario:
     """A full protocol operating point: the two arm transmittances (detector
     included), pulse intensities, decoy intensities and the maximal pairing
@@ -141,18 +152,30 @@ class Scenario:
     nu_a: float = 0.0
     nu_b: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name, mu in (("mu_a", self.mu_a), ("mu_b", self.mu_b)):
-            if not 0.0 < mu <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {mu}")
-        for name, nu, mu in (("nu_a", self.nu_a, self.mu_a), ("nu_b", self.nu_b, self.mu_b)):
-            if not 0.0 <= nu < mu:
-                raise ValueError(f"{name} must be in [0, {name.replace('nu', 'mu')}), got {nu}")
-        if not is_pairing_interval(self.lam):
-            raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {self.lam}")
-        for name, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
-            if not 0.0 < eta <= self.params.eta_d:
-                raise ValueError(f"{name} must be in (0, eta_d={self.params.eta_d}], got {eta}")
+    def __init__(self, eta_a, eta_b, mu_a, mu_b, lam, params, nu_a=0.0, nu_b=0.0) -> None:
+        # The generated frozen __init__ sets each field with object.__setattr__,
+        # ~1.8 us in all; one update of the instance dict takes ~0.5 us.
+        self.__dict__.update(eta_a=eta_a, eta_b=eta_b, mu_a=mu_a, mu_b=mu_b, lam=lam,
+                             params=params, nu_a=nu_a, nu_b=nu_b)
+        # Each check fails on NaN; the first failed one names itself.
+        eta_d = params.eta_d
+        passed = (
+            0.0 < mu_a <= 1.0, 0.0 < mu_b <= 1.0, 0.0 <= nu_a < mu_a, 0.0 <= nu_b < mu_b,
+            is_pairing_interval(lam), 0.0 < eta_a <= eta_d, 0.0 < eta_b <= eta_d,
+        )
+        if not all(passed):
+            raise ValueError(_SCENARIO_ERRORS[passed.index(False)].format(self))
+
+
+_SCENARIO_ERRORS = (
+    "mu_a must be in (0, 1], got {0.mu_a}",
+    "mu_b must be in (0, 1], got {0.mu_b}",
+    "nu_a must be in [0, mu_a), got {0.nu_a}",
+    "nu_b must be in [0, mu_b), got {0.nu_b}",
+    "pairing interval must be an integer >= 1 or inf, got {0.lam}",
+    "eta_a must be in (0, eta_d={0.params.eta_d}], got {0.eta_a}",
+    "eta_b must be in (0, eta_d={0.params.eta_d}], got {0.eta_b}",
+)
 
 
 def make_scenario(
@@ -167,20 +190,11 @@ def make_scenario(
 ) -> Scenario:
     """Build a Scenario from arm lengths, deriving the transmittances."""
     params = params if params is not None else SystemParams()
-    return Scenario(
-        eta_a=transmittance_from_distance(distance_a_km, params),
-        eta_b=transmittance_from_distance(distance_b_km, params),
-        mu_a=mu_a,
-        mu_b=mu_b,
-        lam=lam,
-        params=params,
-        nu_a=nu_a,
-        nu_b=nu_b,
-    )
+    eta_a, eta_b = (transmittance_from_distance(d, params) for d in (distance_a_km, distance_b_km))
+    return Scenario(eta_a, eta_b, mu_a, mu_b, lam, params, nu_a, nu_b)
 
 
-@dataclass(frozen=True)
-class KeyRateBreakdown:
+class KeyRateBreakdown(NamedTuple):
     """All intermediate quantities entering the per-round key rate.
 
     ``rate`` is clamped at zero; ``raw_rate`` keeps the unclamped value so a
@@ -198,22 +212,22 @@ class KeyRateBreakdown:
     rate: float
 
 
+# The numpy functions the formulas use, on Python floats.
+_FLOATS = SimpleNamespace(
+    exp=math.exp, expm1=math.expm1, log1p=math.log1p, log2=math.log2,
+    where=lambda condition, value, otherwise: value if condition else otherwise,
+    all=lambda condition: condition,
+)
+
+
 def _namespace(x):
-    """numpy for arrays, ``math`` (libm) for anything else, so a Python float
-    keeps the exact bits of the scalar formulas."""
-    return np if isinstance(x, np.ndarray) else math
+    """numpy for arrays, else libm, so a Python float keeps the scalar bits."""
+    return np if isinstance(x, np.ndarray) else _FLOATS
 
 
-def _where(condition, value, otherwise):
-    """``np.where`` for array conditions, a plain conditional for scalars."""
-    if isinstance(condition, np.ndarray):
-        return np.where(condition, value, otherwise)
-    return value if condition else otherwise
-
-
-def _all(condition) -> bool:
-    """Whether every element of an array condition, or a scalar one, holds."""
-    return bool(condition.all()) if isinstance(condition, np.ndarray) else condition
+def _check_unit_interval(x, name: str, xp) -> None:
+    if not xp.all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
 def click_prob_given_mean(x, p_d: float):
@@ -224,7 +238,10 @@ def click_prob_given_mean(x, p_d: float):
     the log of the all-photons-lost probability of a round with exact photon
     numbers; a float or an array.  Arranged to stay accurate for tiny x.
     """
-    xp = _namespace(x)
+    return _click_prob(x, p_d, _namespace(x))
+
+
+def _click_prob(x, p_d: float, xp):
     return -xp.expm1(-x) + 2.0 * p_d * xp.exp(-x)
 
 
@@ -257,19 +274,22 @@ def pairing_rate(p, lam: float):
     fixed intensities the key rate grows by less than a factor lam from
     lam == 1 to lam.
     """
-    if not _all((p >= 0.0) & (p <= 1.0)):  # written so that NaN fails
-        raise ValueError(f"click probability must be in [0, 1], got {p}")
+    xp = _namespace(p)
+    _check_unit_interval(p, "click probability", xp)
     if not is_pairing_interval(lam):
         raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {lam}")
+    return _pairing_rate(p, lam, xp)
+
+
+def _pairing_rate(p, lam: float, xp):
     if lam == math.inf:
         return p / 2.0
-    xp = _namespace(p)
     # The endpoints are evaluated at an interior point and replaced by p/2,
     # where the logarithm and the reciprocals below are undefined.
     edge = (p == 0.0) | (p == 1.0)
-    inner = _where(edge, 0.5, p)
+    inner = xp.where(edge, 0.5, p)
     window_hit = -xp.expm1(lam * xp.log1p(-inner))
-    return _where(edge, p / 2.0, 1.0 / (1.0 / (inner * window_hit) + 1.0 / inner))
+    return xp.where(edge, p / 2.0, 1.0 / (1.0 / (inner * window_hit) + 1.0 / inner))
 
 
 def x_gain_and_phase_error(scenario: Scenario) -> tuple[float, float]:
@@ -291,12 +311,15 @@ def x_gain_and_phase_error(scenario: Scenario) -> tuple[float, float]:
 def binary_entropy(x):
     """Binary entropy in bits of a float or an array, with H(0) = H(1) = 0
     by continuity."""
-    if not _all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails
-        raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
     xp = _namespace(x)
+    _check_unit_interval(x, "binary entropy argument", xp)
+    return _binary_entropy(x, xp)
+
+
+def _binary_entropy(x, xp):
     edge = (x == 0.0) | (x == 1.0)
-    inner = _where(edge, 0.5, x)
-    return _where(edge, 0.0, -inner * xp.log2(inner) - (1.0 - inner) * xp.log2(1.0 - inner))
+    inner = xp.where(edge, 0.5, x)
+    return xp.where(edge, 0.0, -inner * xp.log2(inner) - (1.0 - inner) * xp.log2(1.0 - inner))
 
 
 @functools.lru_cache(maxsize=64)
@@ -324,34 +347,24 @@ def _key_rate_terms(scenario: Scenario, mu_a, mu_b) -> KeyRateBreakdown:
     so e_z is dark-count driven.  q_bar_11 is the fraction of Z pairs in
     which each party emitted exactly one photon across the two rounds.
     """
-    params = scenario.params
+    params, xp = scenario.params, _namespace(mu_a)
     pr00, y_pairs, y_11, e_11, secret = _fixed_terms(scenario.eta_a, scenario.eta_b, params)
     x_a, x_b = scenario.eta_a * mu_a, scenario.eta_b * mu_b
-    pr01, pr10 = click_prob_given_mean(x_b, params.p_d), click_prob_given_mean(x_a, params.p_d)
-    pr11 = click_prob_given_mean(x_a + x_b, params.p_d)
+    pr01, pr10 = _click_prob(x_b, params.p_d, xp), _click_prob(x_a, params.p_d, xp)
+    pr11 = _click_prob(x_a + x_b, params.p_d, xp)
     p = (((pr00 + pr01) + pr10) + pr11) / 4.0
     same, cross = pr00 * pr11, pr01 * pr10
     pairs = same + cross
-    if not _all(pairs > 0.0):
+    if not xp.all(pairs > 0.0):
         raise ModelDegenerateError("zero Z-pair probability: key rate undefined")
-    r_p = pairing_rate(p, scenario.lam)
+    _check_unit_interval(p, "click probability", xp)
+    r_p = _pairing_rate(p, scenario.lam, xp)
     r_s = 2.0 * pairs / (16.0 * p * p)
-    e_z = same / pairs
-    xp = _namespace(mu_a)
+    e_z = same / pairs  # in [0, 1], as same <= pairs
     weight = mu_a * xp.exp(-mu_a) * mu_b * xp.exp(-mu_b)
     q_bar = weight * y_pairs / pairs
-    raw = r_p * r_s * (q_bar * secret - params.f * binary_entropy(e_z))
-    return KeyRateBreakdown(
-        p=p,
-        r_p=r_p,
-        r_s=r_s,
-        q_bar_11=q_bar,
-        e_z=e_z,
-        y_11=y_11,
-        e_11=e_11,
-        raw_rate=raw,
-        rate=_where(raw < 0.0, 0.0, raw),
-    )
+    raw = r_p * r_s * (q_bar * secret - params.f * _binary_entropy(e_z, xp))
+    return KeyRateBreakdown(p, r_p, r_s, q_bar, e_z, y_11, e_11, raw, xp.where(raw < 0.0, 0.0, raw))
 
 
 def key_rate(scenario: Scenario) -> KeyRateBreakdown:

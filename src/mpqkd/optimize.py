@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -91,13 +92,15 @@ class OptimizationProblem:
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Result of an intensity optimization."""
+    """Result of an intensity optimization.  ``evaluations`` counts its
+    scalar rate evaluations, a cost that equality ignores."""
 
     mu_a_star: float
     mu_b_star: float
     r_star: float
     iterations: int
     converged: bool
+    evaluations: int = field(compare=False)
 
 
 def _grid_best(rates: np.ndarray) -> int:
@@ -134,8 +137,9 @@ def _grid_scan(problem: OptimizationProblem) -> tuple[float, float, float]:
     return problem.rate(mu_a, mu_b), mu_a, mu_b
 
 
-def _clip(a: float, b: float) -> tuple[float, float]:
-    return (min(max(a, _MU_MIN), _MU_MAX), min(max(b, _MU_MIN), _MU_MAX))
+def _clip(a: float, b: float) -> tuple[float, float]:  # NaN stays NaN
+    lo, hi = _MU_MIN, _MU_MAX
+    return (lo if a < lo else hi if a > hi else a, lo if b < lo else hi if b > hi else b)
 
 
 class _MaxFev(Exception):
@@ -158,48 +162,48 @@ def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int = 500, max
         calls += 1
         return f(*x)
 
-    def order() -> tuple[list, list]:  # stable, as numpy's argsort is on 3 entries
-        ranked = sorted(range(3), key=fsim.__getitem__)
-        return [sim[k] for k in ranked], [fsim[k] for k in ranked]
-
     def trial(c: float) -> tuple[float, float]:  # (1 + c) centroid - c worst
         return _clip((1.0 + c) * ma - c * a2, (1.0 + c) * mb - c * b2)
 
-    sim = [_clip(*(2.0 * _MU_MAX - v if v > _MU_MAX else v for v in x)) for x in simplex]
-    fsim, calls, iterations = [math.inf] * 3, 0, 1
+    # [value, vertex] pairs, ranked by list.sort: stable, as numpy's argsort
+    # is on 3 entries.  A vertex not yet evaluated has the value inf.
+    reflected = ([2.0 * _MU_MAX - v if v > _MU_MAX else v for v in x] for x in simplex)
+    sim = [[math.inf, _clip(*x)] for x in reflected]
+    calls, iterations = 0, 1
     try:
-        for k in range(3):
-            fsim[k] = func(sim[k])
-        sim, fsim = order()
+        for vertex in sim:
+            vertex[0] = func(vertex[1])
+        sim.sort(key=itemgetter(0))
         while calls < maxfev and iterations < maxiter:
-            (a0, b0), (a1, b1), (a2, b2) = sim
+            (f0, (a0, b0)), (f1, (a1, b1)), (f2, (a2, b2)) = sim
             x_spread = max(abs(a1 - a0), abs(b1 - b0), abs(a2 - a0), abs(b2 - b0))
-            if x_spread <= xatol and max(abs(fsim[0] - fsim[1]), abs(fsim[0] - fsim[2])) <= fatol:
+            if x_spread <= xatol and max(abs(f0 - f1), abs(f0 - f2)) <= fatol:
                 break
             ma, mb = (a0 + a1) / 2, (b0 + b1) / 2  # the centroid of the two best
             xr = trial(1.0)
             fxr = func(xr)
-            if fxr < fsim[0]:
+            if fxr < f0:
                 xe = trial(2.0)
                 fxe = func(xe)
-                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[1]:
-                sim[2], fsim[2] = xr, fxr
+                sim[2] = [fxe, xe] if fxe < fxr else [fxr, xr]
+            elif fxr < f1:
+                sim[2] = [fxr, xr]
             else:  # contract outside the simplex, or inside it
-                outside = fxr < fsim[2]
+                outside = fxr < f2
                 xc = trial(0.5 if outside else -0.5)
                 fxc = func(xc)
-                if (fxc <= fxr) if outside else (fxc < fsim[2]):
-                    sim[2], fsim[2] = xc, fxc
-                else:  # shrink toward the best vertex
-                    for j in (1, 2):
-                        sim[j] = _clip(a0 + 0.5 * (sim[j][0] - a0), b0 + 0.5 * (sim[j][1] - b0))
-                        fsim[j] = func(sim[j])
+                if (fxc <= fxr) if outside else (fxc < f2):
+                    sim[2] = [fxc, xc]
+                else:  # shrink toward the best vertex, moving each before it is evaluated
+                    for vertex in sim[1:]:
+                        a, b = vertex[1]
+                        vertex[1] = _clip(a0 + 0.5 * (a - a0), b0 + 0.5 * (b - b0))
+                        vertex[0] = func(vertex[1])
             iterations += 1
-            sim, fsim = order()
+            sim.sort(key=itemgetter(0))
     except _MaxFev:
-        sim, fsim = order()
-    return sim[0], iterations
+        sim.sort(key=itemgetter(0))
+    return sim[0][1], iterations
 
 
 def _gradient(rate: Callable[[float, float], float], a: float, b: float) -> tuple[float, float]:
@@ -270,11 +274,12 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     the distance cutoff), the report comes back non-converged with r_star == 0.
     """
     # Nelder-Mead's start and result, the polish's stencils and the final
-    # checks revisit points already evaluated; each is computed once.
+    # checks revisit points already evaluated; each is computed once.  The
+    # grid's best point is evaluated outside the memo: one evaluation more.
     rate = functools.cache(problem.rate)
     r_grid, mu_a0, mu_b0 = _grid_scan(problem)
     if r_grid <= 0.0:
-        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False)
+        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, 1)
 
     # Start strictly inside the box: a start (or simplex vertex) pinned on
     # the boundary degenerates under Nelder-Mead's bound clipping and can
@@ -293,7 +298,8 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
         x = (mu_a0, mu_b0)
     a, b, polish_steps = _newton_polish(rate, *x)
     r_star = rate(a, b)
-    return OptimumReport(a, b, r_star, iterations + polish_steps, _stationary(rate, a, b, r_star))
+    converged, evaluations = _stationary(rate, a, b, r_star), 1 + rate.cache_info().misses
+    return OptimumReport(a, b, r_star, iterations + polish_steps, converged, evaluations)
 
 
 def closed_form_asymptotic(delta: float, regime: str) -> tuple[float, float]:

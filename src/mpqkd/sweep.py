@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
 from typing import Any, Iterable
 
@@ -319,7 +319,7 @@ def _row(task: tuple, optima: dict[OptimizationProblem, OptimumReport]) -> Resul
     else:
         mu_a, mu_b = optima[problem].mu_a_star, optima[problem].mu_b_star
     breakdown = key_rate(problem.scenario(mu_a, mu_b))
-    return ResultRow(*head, mu_a, mu_b, plob=plob, plob_det=plob_det, **asdict(breakdown))
+    return ResultRow(*head, mu_a, mu_b, plob=plob, plob_det=plob_det, **breakdown._asdict())
 
 
 def _grid_range(spec: SweepSpec, delta_km: float) -> tuple[float, float, float]:

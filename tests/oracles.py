@@ -170,7 +170,7 @@ def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     rate = functools.cache(problem.rate)
     r_grid, mu_a0, mu_b0 = _grid_scan(problem)
     if r_grid <= 0.0:
-        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False)
+        return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, 1)
     pull = 1.0 / _GRID_RESOLUTION
     x = np.clip(np.array([mu_a0, mu_b0]), _MU_MIN + pull, _MU_MAX - pull)
     iterations = 0
@@ -191,7 +191,10 @@ def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
         x = np.array([mu_a0, mu_b0])
     a, b, polish_steps = _newton_polish(rate, *x.tolist())
     r_star = rate(a, b)
-    return OptimumReport(a, b, r_star, iterations + polish_steps, _stationary(rate, a, b, r_star))
+    converged = _stationary(rate, a, b, r_star)
+    return OptimumReport(
+        a, b, r_star, iterations + polish_steps, converged, 1 + rate.cache_info().misses
+    )
 
 
 def vacuum_weak_decoy_basis(totals, errors, weak, signal):
@@ -239,3 +242,39 @@ def vacuum_weak_decoy_bounds(observables: DecoyObservables, config: DecoyConfig)
             tuple(2.0 * mu for mu in signal),
         ),
     )
+
+
+def interval_rule(lam) -> bool:
+    """The maximal pairing interval rule written out: an integer >= 1, or
+    inf, and no bool (True == 1 would pass the arithmetic)."""
+    if isinstance(lam, (bool, np.bool_)):
+        return False
+    return lam == math.inf or (lam >= 1 and float(lam).is_integer())
+
+
+def scenario_problem(eta_a, eta_b, mu_a, mu_b, lam, params, nu_a=0.0, nu_b=0.0):
+    """The message of the first check a Scenario with these fields fails, or
+    None: one check per field, in the order and with the messages Scenario
+    had when it checked its fields one at a time."""
+    for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)):
+        if not 0.0 < mu <= 1.0:
+            return f"{name} must be in (0, 1], got {mu}"
+    for name, nu, mu in (("nu_a", nu_a, mu_a), ("nu_b", nu_b, mu_b)):
+        if not 0.0 <= nu < mu:
+            return f"{name} must be in [0, {name.replace('nu', 'mu')}), got {nu}"
+    if not interval_rule(lam):
+        return f"pairing interval must be an integer >= 1 or inf, got {lam}"
+    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
+        if not 0.0 < eta <= params.eta_d:
+            return f"{name} must be in (0, eta_d={params.eta_d}], got {eta}"
+    return None
+
+
+def unit_interval_problem(x, what: str):
+    """The message for a float or an array with an entry outside [0, 1]
+    (NaN included), or None, as pairing_rate and binary_entropy had it
+    before their checks were shared."""
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        return f"{what} must be in [0, 1], got {x}"
+    return None

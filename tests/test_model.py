@@ -19,6 +19,7 @@ from mpqkd.model import (
     click_prob_given_mean,
     click_prob_given_photons,
     distance_from_transmittance,
+    is_pairing_interval,
     key_rate,
     key_rate_grid,
     make_scenario,
@@ -27,7 +28,13 @@ from mpqkd.model import (
     transmittance_from_distance,
     x_gain_and_phase_error,
 )
-from oracles import chain_pairing_rate, linearized_key_rate
+from oracles import (
+    chain_pairing_rate,
+    interval_rule,
+    linearized_key_rate,
+    scenario_problem,
+    unit_interval_problem,
+)
 
 PARAMS = SystemParams()
 NO_DARK = SystemParams(p_d=0.0)
@@ -91,10 +98,17 @@ class TestParamsAndTypes:
         lossless = Scenario(1.0, 1.0, 0.5, 0.5, 1e6, SystemParams(eta_d=1.0))
         assert (lossless.eta_a, lossless.eta_b) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("lam", [0, 0.5, 2.5, -3])
+    @pytest.mark.parametrize("lam", [0, 0.5, 2.5, -3, True, np.True_])
     def test_scenario_rejects_bad_interval(self, lam):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairing interval must be an integer >= 1 or inf"):
             make_scenario(100, 100, 0.5, 0.5, lam)
+
+    @pytest.mark.parametrize("lam", [True, False, np.True_, np.False_])
+    def test_bool_is_no_interval(self, lam):
+        # True == 1 and float(True) == 1.0, but a flag is no interval
+        assert not is_pairing_interval(lam)
+        with pytest.raises(ValueError, match="pairing interval must be an integer >= 1 or inf"):
+            pairing_rate(0.5, lam)
 
     @pytest.mark.parametrize(
         "value, expected",
@@ -114,6 +128,94 @@ class TestParamsAndTypes:
             make_scenario(100, 100, 0.5, 1.2, 1e6)
         with pytest.raises(ValueError):
             make_scenario(100, 100, 0.5, 0.5, 1e6, nu_a=0.6)
+
+
+# Numbers at and around the domain edges of the model's checks, and anywhere.
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.2, 1e-300, -1e-3, 1.5]
+numbers = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0), st.floats())
+intervals = st.one_of(
+    st.sampled_from([1, 2.0, 1e6, math.inf, -math.inf, math.nan, 0, 0.5, 2.5, 10**20]),
+    st.sampled_from([True, False, np.True_, np.False_, np.float64(7.0), np.int64(3)]),
+    st.integers(-5, 10**7),
+    st.floats(),
+)
+
+
+@st.composite
+def scenario_fields(draw) -> dict:
+    params = SystemParams(eta_d=draw(st.sampled_from([0.2, 1.0, 1e-3])))
+    mu_a, mu_b = draw(numbers), draw(numbers)
+    return dict(
+        eta_a=draw(st.one_of(st.just(params.eta_d), numbers)),
+        eta_b=draw(st.one_of(st.just(params.eta_d), numbers)),
+        mu_a=mu_a,
+        mu_b=mu_b,
+        lam=draw(intervals),
+        params=params,
+        nu_a=draw(st.one_of(st.just(0.0), st.just(mu_a), numbers)),
+        nu_b=draw(st.one_of(st.just(0.0), st.just(mu_b), numbers)),
+    )
+
+
+def assert_raises_exactly(message, call, *args, **kwargs):
+    """call raises ValueError with this message, or, for None, no ValueError."""
+    if message is None:
+        with np.errstate(all="ignore"):
+            call(*args, **kwargs)
+    else:
+        with pytest.raises(ValueError) as raised:
+            call(*args, **kwargs)
+        assert str(raised.value) == message
+
+
+class TestDomainChecks:
+    """The model's checks against their field-by-field statement in
+    tests/oracles.py: the same inputs pass, and a failure has its message."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(fields=scenario_fields())
+    def test_scenario(self, fields):
+        assert_raises_exactly(scenario_problem(**fields), Scenario, **fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=scenario_fields())
+    def test_scenario_replace(self, fields):
+        eta_d = fields["params"].eta_d
+        valid = Scenario(eta_d, eta_d / 10.0, 0.5, 0.5, 1e6, fields["params"])
+        changes = {name: fields[name] for name in ("mu_a", "nu_b", "lam", "eta_b")}
+        expected = scenario_problem(**{**dataclasses.asdict(valid), **changes, "params": valid.params})
+        assert_raises_exactly(expected, dataclasses.replace, valid, **changes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=intervals)
+    def test_interval(self, lam):
+        assert is_pairing_interval(lam) == interval_rule(lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # subnormal click probabilities underflow the formula itself
+        p=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1e-300]),
+            st.floats(1e-6, 1.0),
+            st.floats(max_value=-1e-300),
+            st.floats(min_value=1.0),
+            st.lists(
+                st.one_of(st.just(math.nan), st.floats(1e-6, 2.0)), min_size=1, max_size=3
+            ).map(np.array),
+        ),
+        lam=intervals,
+    )
+    def test_pairing_rate(self, p, lam):
+        message = unit_interval_problem(p, "click probability")
+        if message is None and not interval_rule(lam):
+            message = f"pairing interval must be an integer >= 1 or inf, got {lam}"
+        assert_raises_exactly(message, pairing_rate, p, lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(numbers, st.lists(numbers, min_size=1, max_size=3).map(np.array)))
+    def test_binary_entropy(self, x):
+        message = unit_interval_problem(x, "binary entropy argument")
+        assert_raises_exactly(message, binary_entropy, x)
 
 
 class TestTransmittance:
@@ -577,8 +679,7 @@ class TestKeyRateOracle:
             for m_b in mu_b:
                 scenario = make_scenario(distance_a, distance_b, m_a, m_b, lam, params)
                 value, reference = key_rate(scenario), oracle_key_rate(scenario)
-                for field in dataclasses.fields(KeyRateBreakdown):
-                    name = field.name
+                for name in KeyRateBreakdown._fields:
                     assert getattr(value, name) == getattr(reference, name), name
 
 

@@ -273,7 +273,7 @@ class TestPairClicks:
         rounds = synthetic_rounds(1000, clicked_at=[3, 900])
         assert index_pairs(pair_clicks(rounds, math.inf)) == [(3, 900)]
 
-    @pytest.mark.parametrize("lam", [2.5, 0.5, 0])
+    @pytest.mark.parametrize("lam", [2.5, 0.5, 0, True, np.True_])
     def test_rejects_bad_interval(self, lam):
         rounds = synthetic_rounds(10, clicked_at=[0, 1])
         with pytest.raises(ValueError, match="pairing interval must be an integer >= 1 or inf"):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
 
@@ -61,6 +62,9 @@ class TestProblemValidation:
             OptimizationProblem(100.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             OptimizationProblem(100.0, 1.0, 2.5)
+        for flag in (True, np.True_):  # True == 1, but a flag is no interval
+            with pytest.raises(ValueError, match="pairing interval must be an integer >= 1"):
+                OptimizationProblem(100.0, 1.0, flag)
         for distance_a in (math.nan, math.inf):
             with pytest.raises(ValueError, match="arm length must be finite"):
                 OptimizationProblem(distance_a, 10.0, 1e6)
@@ -151,67 +155,73 @@ class TestOptimizerAgainstTables:
         assert len(calls) <= len(set(calls)) + 1
         if lam == 1e6:
             assert len(calls) <= 212
-        # the same report when every visit re-evaluates the rate
-        monkeypatch.setattr(optimize, "functools", SimpleNamespace(cache=lambda f: f))
-        assert optimize_intensities(problem) == report
+        assert report.evaluations == len(calls)
+        # the same report when every visit re-evaluates the rate (a cache of
+        # size 0 counts every call as a miss)
+        calls.clear()
+        monkeypatch.setattr(optimize, "functools", SimpleNamespace(cache=lru_cache(maxsize=0)))
+        uncached = optimize_intensities(problem)
+        assert uncached == report
+        assert uncached.evaluations == len(calls) > report.evaluations
 
 
 # Optima as the scipy-backed refinement gave them, pinned bit for bit, so any
 # drift in the optimizer's arithmetic fails here and not only in the CSV digests.
+# The last field is the evaluation count, which report equality ignores.
 GOLDEN_OPTIMA = {
     "interior": (
         OptimizationProblem(100.0, 10.0, 1e6),
-        OptimumReport(0.2401379134248034, 0.7589593206329682, 3.974069770530219e-06, 97, True),
+        OptimumReport(0.2401379134248034, 0.7589593206329682, 3.974069770530219e-06, 97, True, 211),
     ),
     "lambda-1": (
         OptimizationProblem(100.0, 10.0, 1),
-        OptimumReport(0.9799893272106875, 0.9960840921424374, 5.0117577680059544e-09, 97, True),
+        OptimumReport(0.9799893272106875, 0.9960840921424374, 5.0117577680059544e-09, 97, True, 219),
     ),
     "lambda-1-corner": (
         OptimizationProblem(100.0, 1.0, 1),
-        OptimumReport(0.9965774094131081, 0.9965774172470758, 5.093557398762843e-08, 95, True),
+        OptimumReport(0.9965774094131081, 0.9965774172470758, 5.093557398762843e-08, 95, True, 210),
     ),
     "symmetric-inf": (
         OptimizationProblem(100.0, 1.0, math.inf),
-        OptimumReport(0.5002447086272053, 0.5002446990037372, 1.7378274839490703e-05, 96, True),
+        OptimumReport(0.5002447086272053, 0.5002446990037372, 1.7378274839490703e-05, 96, True, 213),
     ),
     "cli-example": (
         OptimizationProblem(80.0, 7.5, 1000),
-        OptimumReport(0.4244441664473245, 0.8465207609978914, 1.009194771440407e-05, 91, True),
+        OptimumReport(0.4244441664473245, 0.8465207609978914, 1.009194771440407e-05, 91, True, 205),
     ),
     "delta-1000": (
         OptimizationProblem(50.0, 1000.0, 1e3),
-        OptimumReport(0.18273432152855573, 0.9869982379333067, 4.909403963910798e-07, 101, True),
+        OptimumReport(0.18273432152855573, 0.9869982379333067, 4.909403963910798e-07, 101, True, 220),
     ),
     "short-arm": (
         OptimizationProblem(1.0, 1.0, 1e6),
-        OptimumReport(0.5370670635967391, 0.5370670678941546, 0.0017894999945143805, 94, True),
+        OptimumReport(0.5370670635967391, 0.5370670678941546, 0.0017894999945143805, 94, True, 209),
     ),
     "e_d-0.12": (
         OptimizationProblem(150.0, 10.0, 1e4, SystemParams(e_d=0.12)),
-        OptimumReport(0.5044393012593802, 0.8936262803622346, 1.1307257323466519e-07, 103, True),
+        OptimumReport(0.5044393012593802, 0.8936262803622346, 1.1307257323466519e-07, 103, True, 226),
     ),
     "p_d-1e-4": (
         OptimizationProblem(30.0, 3.0, 1000, SystemParams(p_d=1e-4)),
-        OptimumReport(0.31063403254227995, 0.5304303726828286, 3.79979560076773e-05, 95, True),
+        OptimumReport(0.31063403254227995, 0.5304303726828286, 3.79979560076773e-05, 95, True, 208),
     ),
     # the rate peaks at ~1.2e-12: the two Nelder-Mead runs take 342 and 330
     # iterations, and the result is not stationary to tolerance
     "near-cutoff": (
         OptimizationProblem(244.306, 1.0, 1e6),
-        OptimumReport(0.39100171329739797, 0.3910017126455189, 1.1882006438662176e-12, 672, False),
+        OptimumReport(0.39100171329739797, 0.3910017126455189, 1.1882006438662176e-12, 672, False, 408),
     ),
     "beyond-cutoff": (
         OptimizationProblem(250.0, 1.0, 1e6),
-        OptimumReport(0.015625, 0.015625, 0.0, 0, False),
+        OptimumReport(0.015625, 0.015625, 0.0, 0, False, 1),
     ),
     "far-beyond-cutoff": (
         OptimizationProblem(900.0, 1.0, 1e6),
-        OptimumReport(0.015625, 0.015625, 0.0, 0, False),
+        OptimumReport(0.015625, 0.015625, 0.0, 0, False, 1),
     ),
     "p_d-1e-2": (
         OptimizationProblem(20.0, 3.0, 1000, SystemParams(p_d=1e-2)),
-        OptimumReport(0.015625, 0.015625, 0.0, 0, False),
+        OptimumReport(0.015625, 0.015625, 0.0, 0, False, 1),
     ),
 }
 
@@ -219,7 +229,9 @@ GOLDEN_OPTIMA = {
 @pytest.mark.parametrize("name", GOLDEN_OPTIMA)
 def test_golden_optimum(name):
     problem, expected = GOLDEN_OPTIMA[name]
-    assert optimize_intensities(problem) == expected
+    report = optimize_intensities(problem)
+    assert report == expected
+    assert report.evaluations == expected.evaluations
 
 
 def traced(f):

@@ -91,6 +91,8 @@ class TestSpecParsing:
             ("mu_a", "0.3", "mu_a: must be a number, got '0.3'"),
             ("delta_list", (0, "a"), "delta_list: must be a list of numbers, got (0, 'a')"),
             ("lambda_list", ("inf",), "lambda_list: must be a list of numbers, got ('inf',)"),
+            ("lambda_list", (True,), "lambda_list: must be a list of numbers, got (True,)"),
+            ("lambda_list", (np.True_,), f"lambda_list: must be a list of numbers, got {(np.True_,)}"),
             ("e_d_list", (None,), "e_d_list: must be a list of numbers, got (None,)"),
             ("delta_list", 50, "delta_list: must be a list of numbers, got 50"),
         ],
@@ -386,6 +388,22 @@ class TestRunSweep:
         calls.clear()
         run_sweep(load_spec({**gap_0, "methods": ["OI"]}))
         assert with_af == len(calls) == 2  # a gap-0 AF task adds no call
+
+    def test_evaluations_of_the_bench_sweep(self, monkeypatch):
+        # the bench's fig-parallel sweep at seed 1 (its grid shifted by 1 km):
+        # 17 problems, 3,054 scalar rate evaluations, the key_rate calls made
+        reports, key_rates = [], []
+        optimize, key_rate = mpqkd.sweep.optimize_intensities, mpqkd.optimize.key_rate
+
+        def reporting(problem):
+            reports.append(optimize(problem))
+            return reports[-1]
+
+        monkeypatch.setattr(mpqkd.sweep, "optimize_intensities", reporting)
+        monkeypatch.setattr(mpqkd.optimize, "key_rate", lambda s: key_rates.append(s) or key_rate(s))
+        run_sweep(load_spec({**FIG4_TRIMMED, "distance_start": 201, "distance_stop": 401}))
+        assert len(reports) == 17
+        assert sum(report.evaluations for report in reports) == len(key_rates) == 3054
 
     def test_one_map_per_sweep(self, monkeypatch):
         maps = []
