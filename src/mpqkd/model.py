@@ -16,11 +16,11 @@ numpy's exp/expm1/log can differ from libm in the last bit and the scalar
 rates are what the optimizer, the CSV output and the Monte Carlo reference
 values are built from.
 
-A scalar evaluation is ~25 floating-point operations, and an optimum takes
-~180 of them, so its ~5 us are interpreter overhead.  To keep it small, the
-chain picks its namespace once and calls the unchecked kernels behind the
-public helpers, :class:`Scenario` checks its fields in one pass, and
-:class:`KeyRateBreakdown` is a named tuple.
+An optimum takes ~180 scalar evaluations of ~25 floating-point operations
+each, so nearly all of an evaluation's ~5.5 us (CPython 3.11, 2-vCPU Xeon) is
+interpreter overhead.  To keep it small, the chain picks its namespace once
+and calls the unchecked kernels behind the public helpers, :class:`Scenario`
+checks its fields in one pass, and :class:`KeyRateBreakdown` is a named tuple.
 
 Conventions:
     * An arm transmittance ``eta`` includes the detector efficiency, so a
@@ -154,7 +154,7 @@ class Scenario:
 
     def __init__(self, eta_a, eta_b, mu_a, mu_b, lam, params, nu_a=0.0, nu_b=0.0) -> None:
         # The generated frozen __init__ sets each field with object.__setattr__,
-        # ~1.8 us in all; one update of the instance dict takes ~0.5 us.
+        # which takes about three times as long as one update of the dict.
         self.__dict__.update(eta_a=eta_a, eta_b=eta_b, mu_a=mu_a, mu_b=mu_b, lam=lam,
                              params=params, nu_a=nu_a, nu_b=nu_b)
         # Each check fails on NaN; the first failed one names itself.
