@@ -172,7 +172,7 @@ class TestDomainChecks:
     """The model's checks against their field-by-field statement in
     tests/oracles.py: the same inputs pass, and a failure has its message."""
 
-    @settings(max_examples=1000, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(fields=scenario_fields())
     def test_scenario(self, fields):
         assert_raises_exactly(scenario_problem(**fields), Scenario, **fields)

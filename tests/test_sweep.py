@@ -91,10 +91,10 @@ class TestSpecParsing:
             ("mu_a", "0.3", "mu_a: must be a number, got '0.3'"),
             ("delta_list", (0, "a"), "delta_list: must be a list of numbers, got (0, 'a')"),
             ("lambda_list", ("inf",), "lambda_list: must be a list of numbers, got ('inf',)"),
-            ("lambda_list", (True,), "lambda_list: must be a list of numbers, got (True,)"),
-            ("lambda_list", (np.True_,), f"lambda_list: must be a list of numbers, got {(np.True_,)}"),
             ("e_d_list", (None,), "e_d_list: must be a list of numbers, got (None,)"),
             ("delta_list", 50, "delta_list: must be a list of numbers, got 50"),
+            ("lambda_list", (True,), "lambda_list: must be a list of numbers, got (True,)"),
+            ("lambda_list", (np.True_,), f"lambda_list: must be a list of numbers, got {(np.True_,)}"),
         ],
     )
     def test_non_numbers_rejected_at_construction(self, name, value, message):
