@@ -61,8 +61,14 @@ __all__ = [
 
 # Relative slack on the observable equality constraints inside the LPs.
 _EQUALITY_TOL = 1e-10
-# Photons per party on the LPs' class grid; the tail slacks cover the rest.
+# Photons per party on the LPs' class grid; the rows' bounds give up the rest.
 _K_MAX = 20
+# Cap on an LP row's scale factor, reached by observables below 1e-12 or 0.
+_MAX_ROW_SCALE = 1e12
+# HiGHS's small_matrix_value: it drops every entry at or below it.
+_MIN_ENTRY = 1e-9
+# Column of the (1, 1) photon class, whose yields the LPs bound.
+_CLASS_11 = _K_MAX + 2
 # k_a! k_b! per class: every k! up to 22! is an exact double, so the float
 # product rounds like the integer one.
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(_K_MAX + 1)])
@@ -391,6 +397,54 @@ def linprog(lp: object, column: int) -> float:
     return highs.getSolution().col_value[column]
 
 
+def _class_11_extreme(
+    weights: np.ndarray, tails: np.ndarray, observed: np.ndarray, sign: float
+) -> float:
+    """Min (``sign`` 1) or max (-1) of the (1, 1) class's yield over the
+    yields y_k in [0, 1] whose rows sum_k w_sk y_k, plus the classes off the
+    grid, equal the observables O_s to a relative tolerance.
+
+    Row s is multiplied by c_s = min(1 / O_s, 1e12), so its bounds sit near
+    1.  No term of a row is negative, so each row caps each yield: column k
+    holds y_k / u_k, u_k = min(1, min_s O_s (1 + tol) / w_sk), and no entry
+    exceeds its row's upper bound.  Entries at or below 1e-9, which HiGHS
+    would drop, leave the matrix; the row's lower bound gives them up (each
+    column is at most 1) with c_s times the mass off the grid, so the LP
+    stays a relaxation that HiGHS solves as written.
+    """
+    n = weights.shape[1]
+    with np.errstate(divide="ignore"):  # a zero observable gets the cap
+        scale = np.minimum(1.0 / observed, _MAX_ROW_SCALE)
+    upper = scale * observed * (1.0 + _EQUALITY_TOL)
+    scaled = weights * scale[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        caps = np.where(scaled > 0.0, upper[:, None] / scaled, np.inf)
+    ceiling = np.minimum(caps.min(axis=0), 1.0)
+    entries = scaled * ceiling
+    kept = entries > _MIN_ENTRY
+    unseen = scale * tails + np.where(kept, 0.0, entries).sum(axis=1)
+    k, setting = np.nonzero(kept.T)  # column-wise: by class, then by setting
+    cost = np.zeros(n)
+    cost[_CLASS_11] = sign
+
+    core, _ = load_highs()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(observed)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    # The matrix fields copy element by element; from a list that is twice
+    # as fast as from an array, and HiGHS gets the same numbers.
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(kept.sum(axis=0))]).tolist()
+    lp.a_matrix_.index_ = setting.tolist()
+    lp.a_matrix_.value_ = entries[setting, k].tolist()
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.ones(n)
+    lp.row_lower_ = scale * observed * (1.0 - _EQUALITY_TOL) - unseen
+    lp.row_upper_ = upper
+    lp.col_cost_ = cost
+    return min(max(linprog(lp, _CLASS_11) * float(ceiling[_CLASS_11]), 0.0), 1.0)
+
+
 def _solve_basis_lp(
     settings: list[PairIntensityVector],
     totals: Mapping[PairIntensityVector, float],
@@ -399,107 +453,52 @@ def _solve_basis_lp(
     """Min single-photon yield and max single-photon error yield consistent
     with the observables; (0, 1) when no setting was observed.
 
-    Unknowns are the per-photon-class yields m_k and error yields e_k on the
-    truncated grid, plus one tail slack per observable bounded by the
-    truncated Poisson mass (yields never exceed 1).  Each observable is one
-    row ranged by a relative tolerance; e_k <= m_k closes the system.
+    Two LPs over the truncated photon-class grid share one Poisson weight
+    matrix: the yields m_k against the total observables, and the error
+    yields e_k against the error observables (:func:`_class_11_extreme`).
+    The true yields satisfy e_k <= m_k, but dropping that coupling relaxes
+    both LPs, which can only lower the min and raise the max, so both
+    results stay valid bounds.  The closed-form MDI-QKD bounds also
+    estimate the yield and the error yield apart (Xu, Curty, Qi, Lo, New J.
+    Phys. 15, 113007 (2013)).
 
     The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
     per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
-    the last bit in ~3% of them, which moves the bounds by up to 1.5e-10
-    relative.  One ``HighsLp`` is built per basis, its column-wise matrix
-    straight from the nonzero weights, and solved twice: only the objective
-    changes between the solves.
+    the last bit in ~3% of them.
     """
     if not settings:
         return 0.0, 1.0
-    n = (_K_MAX + 1) ** 2
-    n_settings = len(settings)
-    n_vars = 2 * n + 2 * n_settings
-
-    # Weights of the (k_a, k_b) classes in row-major order, one row per setting.
     photons = range(_K_MAX + 1)
     decay = np.array([math.exp(-vec.sum_a - vec.sum_b) for vec in settings])
     powers_a = np.array([[vec.sum_a**k for k in photons] for vec in settings])
     powers_b = np.array([[vec.sum_b**k for k in photons] for vec in settings])
     weights = decay[:, None, None] * powers_a[:, :, None] * powers_b[:, None, :] / _FACTORIAL_PAIRS
-    weights = weights.reshape(n_settings, n)
-    tails = np.maximum(1.0 - weights.sum(axis=1), 0.0)
-
-    # Work in units of the largest observable: yields and slacks scale by
-    # 1/unit, keeping all row bounds within a few decades of 1.  The raw
-    # observables sit as low as 1e-13, far below solver feasibility
-    # tolerances.
-    observed = np.array([[totals[vec], errors[vec]] for vec in settings])
-    unit = max(float(observed[:, 0].max()), 1e-300)
-    # Relative equality tolerance: an absolute 1e-10 slack would swamp the
-    # dark-count-dominated observables.
-    scaled = (observed / unit).ravel()  # row 2 s is setting s's m, 2 s + 1 its e
-    tol = _EQUALITY_TOL * scaled
-
-    # Entries (row, column, value): the weights of the m rows on the m_k
-    # columns and of the e rows on the e_k columns, each row's +1 on its own
-    # slack, then row 2 S + k, e_k - m_k <= 0.
-    setting, k = np.nonzero(weights)
-    w = weights[setting, k]
-    s, i = np.arange(n_settings), np.arange(n)
-    rows = [2 * setting, 2 * setting + 1, 2 * s, 2 * s + 1, 2 * n_settings + i, 2 * n_settings + i]
-    cols = [k, n + k, 2 * n + s, 2 * n + n_settings + s, i, n + i]
-    vals = [w, w, np.ones(2 * n_settings), np.full(n, -1.0), np.ones(n)]
-    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_vars))])
-
-    core, _ = load_highs()
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n_settings + n
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # The matrix fields copy element by element; from a list that is twice
-    # as fast as from an array, and HiGHS gets the same numbers.
-    lp.a_matrix_.start_ = indptr.tolist()
-    lp.a_matrix_.index_ = rows[order].tolist()
-    lp.a_matrix_.value_ = vals[order].tolist()
-    lp.col_lower_ = np.zeros(n_vars)
-    lp.col_upper_ = np.concatenate([np.ones(2 * n), tails, tails]) / unit
-    lp.row_lower_ = np.concatenate([scaled - tol, np.full(n, -core.kHighsInf)])
-    lp.row_upper_ = np.concatenate([scaled + tol, np.zeros(n)])
-
-    target = _K_MAX + 2  # the (1, 1) class
-    results = []
-    for objective_sign, column in ((1.0, target), (-1.0, n + target)):
-        cost = np.zeros(n_vars)
-        cost[column] = objective_sign
-        lp.col_cost_ = cost
-        results.append(min(max(linprog(lp, column) * unit, 0.0), 1.0))
-    return results[0], results[1]
+    weights = weights.reshape(len(settings), -1)  # classes (k_a, k_b) in row-major order
+    # Each party's Poisson mass beyond the grid, summed term by term: 1 minus
+    # the grid's mass would leave ~1e-16 of rounding, which c_s scales by up to 1e12.
+    beyond = range(_K_MAX + 1, 2 * _K_MAX + 1)
+    off_grid = lambda mean: math.fsum(math.exp(-mean) * mean**k / math.factorial(k) for k in beyond)
+    tails = np.array([off_grid(vec.sum_a) + off_grid(vec.sum_b) for vec in settings])
+    m_lower, e_upper = (
+        _class_11_extreme(weights, tails, np.array([observed[vec] for vec in settings]), sign)
+        for observed, sign in ((totals, 1.0), (errors, -1.0))
+    )
+    return m_lower, e_upper
 
 
 def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> DecoyBounds:
     """Linear-program bounds on the single-photon pair statistics.
 
-    Z and X bases are bounded independently with the same machinery, and at
-    the same time: HiGHS releases the GIL while it solves, so a worker
-    thread of this call solves X while the calling thread solves Z.  Each
-    basis gets the models, options and solve order it would get alone, so
-    the bounds are bit for bit those of solving the bases in turn.  The
-    worker has finished before the call returns or raises; an error of Z is
-    raised in preference to one of X.
+    Z and X bases are bounded independently with the same machinery, Z
+    first, on the calling thread.
     ``q_bar_lower`` projects the Z bound onto the signal setting: the
     Poisson weight of the (1, 1) class times its yield bound, over the
     setting's detected ratio (0 when the signal setting is not bounded).
     """
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, paid by the first bound
-
-    load_highs()  # here, so that the two threads cannot both load the core
-    x_settings = [vec for vec in config.x_settings() if vec in observables.x_total]
     z_settings = [vec for vec in config.z_settings() if vec in observables.z_total]
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mpqkd-decoy") as worker:
-        x_bounds = worker.submit(
-            _solve_basis_lp, x_settings, observables.x_total, observables.x_error
-        )
-        m_z_lower, e_z_upper = _solve_basis_lp(z_settings, observables.z_total, observables.z_error)
-    m_x_lower, e_x_upper = x_bounds.result()
+    x_settings = [vec for vec in config.x_settings() if vec in observables.x_total]
+    m_z_lower, e_z_upper = _solve_basis_lp(z_settings, observables.z_total, observables.z_error)
+    m_x_lower, e_x_upper = _solve_basis_lp(x_settings, observables.x_total, observables.x_error)
 
     signal = config.signal_vector()
     signal_total = observables.z_total.get(signal, 0.0)

@@ -4,9 +4,15 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
-from mpqkd.decoy import DecoyConfig, DecoyObservables, PairIntensityVector
+from mpqkd.decoy import (
+    _EQUALITY_TOL,
+    DecoyConfig,
+    DecoyObservables,
+    PairIntensityVector,
+    poisson_pair_prob,
+)
 from mpqkd.model import (
     KeyRateBreakdown,
     ModelDegenerateError,
@@ -242,6 +248,101 @@ def vacuum_weak_decoy_bounds(observables: DecoyObservables, config: DecoyConfig)
             tuple(2.0 * mu for mu in signal),
         ),
     )
+
+
+def off_grid_mass(vec: PairIntensityVector, cutoff: int = 20) -> float:
+    """Each party's Poisson mass beyond ``cutoff`` photons, summed over the
+    next ``cutoff`` terms and over the two parties: at least the pair's mass
+    off the class grid, which is the same less the product of the two."""
+    beyond = range(cutoff + 1, 2 * cutoff + 1)
+    return sum(
+        math.fsum(poisson_pair_prob((k, 0), PairIntensityVector(mean, 0.0)) for k in beyond)
+        for mean in vec
+    )
+
+
+def decoy_lp_rows(weights: np.ndarray, tails, observed):
+    """The rows of one decoy LP, built one row and one class at a time from
+    the setting x class weights, each setting's mass off the grid and its
+    observable: row s scaled by c_s = min(1 / O_s, 1e12); class k's column
+    in units of its ceiling u_k = min(1, min_s c_s O_s (1 + tol) / (c_s
+    w_sk)), the most that any row lets its yield be; entries at or below
+    1e-9 (which HiGHS would drop) set to 0 and given up, with c_s times the
+    mass off the grid, from the row's lower bound.
+
+    Returns (matrix, row lower bounds, row upper bounds, ceilings).
+    """
+    n_rows, n = weights.shape
+    scales = [min(1.0 / value, 1e12) if value > 0.0 else 1e12 for value in observed]
+    uppers = [scale * value * (1.0 + _EQUALITY_TOL) for scale, value in zip(scales, observed)]
+    ceilings = np.ones(n)
+    for k in range(n):
+        for s_idx in range(n_rows):
+            scaled = weights[s_idx, k] * scales[s_idx]
+            if scaled > 0.0:
+                ceilings[k] = min(ceilings[k], uppers[s_idx] / scaled)
+    matrix, lowers = [], []
+    for s_idx, (scale, tail, value) in enumerate(zip(scales, tails, observed)):
+        entries = weights[s_idx] * scale * ceilings
+        small = entries <= 1e-9
+        unseen = scale * tail + float(np.where(small, entries, 0.0).sum())
+        matrix.append(np.where(small, 0.0, entries))
+        lowers.append(scale * value * (1.0 - _EQUALITY_TOL) - unseen)
+    return np.array(matrix), np.array(lowers), np.array(uppers), ceilings
+
+
+def coupled_decoy_bounds(settings, totals, errors, cutoff: int = 20) -> tuple[float, float]:
+    """Min single-photon yield and max single-photon error yield of one basis
+    from the LP that couples them: the rows of both of the basis's LPs
+    (:func:`decoy_lp_rows`), over the yields m_k and the error yields e_k,
+    plus e_k <= m_k for every class, solved by scipy's
+    ``linprog(method="highs")`` with each ranged row as two inequalities.
+
+    In column units the coupling reads u_k^e z_k^e - u_k^m z_k^m <= 0,
+    scaled so that the larger ceiling is 1.  A coupling row whose smaller
+    entry HiGHS would drop is left out, which only relaxes the LP.  The two
+    LPs without any coupling relax this one, so their min cannot exceed its
+    min, nor their max fall below its max.
+    """
+    classes = [(k_a, k_b) for k_a in range(cutoff + 1) for k_b in range(cutoff + 1)]
+    n = len(classes)
+    weights = np.array([[poisson_pair_prob(k, vec) for k in classes] for vec in settings])
+    tails = [off_grid_mass(vec, cutoff) for vec in settings]
+    m_rows, m_lower, m_upper, m_ceilings = decoy_lp_rows(
+        weights, tails, [totals[vec] for vec in settings]
+    )
+    e_rows, e_lower, e_upper, e_ceilings = decoy_lp_rows(
+        weights, tails, [errors[vec] for vec in settings]
+    )
+    zeros = np.zeros_like(m_rows)
+    rows = [np.hstack([m_rows, zeros]), np.hstack([zeros, e_rows])]
+    a_ub = [rows[0], -rows[0], rows[1], -rows[1]]
+    b_ub = [m_upper, -m_lower, e_upper, -e_lower]
+    for k in range(n):
+        larger = max(m_ceilings[k], e_ceilings[k])
+        if min(m_ceilings[k], e_ceilings[k]) > 1e-9 * larger:
+            row = np.zeros((1, 2 * n))
+            row[0, k], row[0, n + k] = -m_ceilings[k] / larger, e_ceilings[k] / larger
+            a_ub.append(row)
+            b_ub.append([0.0])
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-9}
+    results = []
+    target = cutoff + 2  # the (1, 1) class
+    for sign, column, ceilings in ((1.0, target, m_ceilings), (-1.0, n + target, e_ceilings)):
+        cost = np.zeros(2 * n)
+        cost[column] = sign
+        res = linprog(
+            cost,
+            np.vstack(a_ub),
+            np.concatenate(b_ub),
+            bounds=(0.0, 1.0),
+            method="highs",
+            options=options,
+        )
+        if res.status != 0:
+            raise RuntimeError(f"coupled decoy LP failed: {res.message}")
+        results.append(min(max(float(res.x[column]) * ceilings[target], 0.0), 1.0))
+    return results[0], results[1]
 
 
 def interval_rule(lam) -> bool:

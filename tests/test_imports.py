@@ -5,8 +5,8 @@ scipy's HiGHS core loads with the first decoy LP, straight from its
 extension file: no LP loads ``scipy.optimize``, yet scipy's own ``linprog``
 and ``mpqkd.decoy.load_highs`` share one core in either load order.  The
 process-pool module (and with it ``multiprocessing``) loads only when a
-pool starts, and ``concurrent.futures`` with the first pool or the first
-decoy bound, each of which solves its X basis on a worker thread of its own.
+pool starts, and ``concurrent.futures`` only with the first pool: a decoy
+bound solves its LPs on the calling thread.
 """
 import json
 import os
@@ -37,6 +37,7 @@ report["optimize_pool"] = "multiprocessing" in sys.modules
 report["futures"].append("concurrent.futures" in sys.modules)
 report["verify_code"] = main(["verify", "--config", sys.argv[3]])
 report["verify"] = scipy_modules()
+report["futures"].append("concurrent.futures" in sys.modules)
 print(json.dumps(report))
 """
 
@@ -77,22 +78,21 @@ except ImportError as exc:
     print(json.dumps([str(exc), "scipy.optimize._highspy._core" in sys.modules]))
 """
 
-# The first LP is a bound, whose two threads both need the core: it loads
-# once, on the calling thread.
+# The first LP is a bound: load_highs loads the core once, on the calling
+# thread, and every later LP gets that same cached core.
 _FIRST_BOUND = """
-import json, sys, threading, time
+import json, sys, threading
 import mpqkd.decoy as decoy
 from mpqkd.model import make_scenario
 
 calls = []
 real = decoy._import_highs_core
 
-def slow_import():
+def recorded_import():
     calls.append(threading.current_thread().name)
-    time.sleep(0.05)  # time for a second thread to reach the uncached loader
     return real()
 
-decoy._import_highs_core = slow_import
+decoy._import_highs_core = recorded_import
 scenario = make_scenario(100.0, 150.0, 0.2402, 0.7594, 1e6, nu_a=0.05, nu_b=0.05)
 config = decoy.decoy_config_for(scenario)
 decoy.bound_single_photon(decoy.expected_observables(scenario, config), config)
@@ -100,9 +100,9 @@ core = sys.modules["scipy.optimize._highspy._core"]
 print(json.dumps({"calls": calls, "same": core is decoy.load_highs()[0]}))
 """
 
-# No executor survives a bound, so a child forked after one has no worker
-# state to reset.  A bound there that waited on a thread the fork did not
-# copy would hang until the alarm.
+# A child forked after a bound gets the parent's cached HiGHS core and
+# options, and bounds with them as the parent does.  A bound there that
+# hung would end at the alarm.
 _FORKED_BOUND = """
 import json, os, signal
 from mpqkd.decoy import bound_single_photon, decoy_config_for, expected_observables
@@ -162,7 +162,7 @@ def test_scipy_loads_only_where_an_lp_is_solved(tmp_path):
     assert (report["run_code"], report["run"], report["run_pool"]) == (0, [], False)
     assert (report["optimize_code"], report["optimize"]) == (0, [])
     assert report["optimize_pool"] is False
-    assert report["futures"] == [False, False, False]  # after import, run and optimize
+    assert report["futures"] == [False] * 4  # after import, run, optimize and verify
     assert report["verify_code"] in (0, 3)  # 3: a statistical check failed
     assert "scipy.optimize._highspy._core" in report["verify"]
     assert "scipy.optimize" not in report["verify"]
