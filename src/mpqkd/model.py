@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -285,11 +286,16 @@ def _pairing_rate(p, lam: float, xp):
     if lam == math.inf:
         return p / 2.0
     # The endpoints are evaluated at an interior point and replaced by p/2,
-    # where the logarithm and the reciprocals below are undefined.
+    # where the logarithm and the reciprocals below are undefined.  A product
+    # below the smallest normal double, whose reciprocals can overflow, is
+    # an underflowed rate: it is replaced by 0.0 the same way.
     edge = (p == 0.0) | (p == 1.0)
     inner = xp.where(edge, 0.5, p)
-    window_hit = -xp.expm1(lam * xp.log1p(-inner))
-    return xp.where(edge, p / 2.0, 1.0 / (1.0 / (inner * window_hit) + 1.0 / inner))
+    product = inner * -xp.expm1(lam * xp.log1p(-inner))
+    tiny = product < sys.float_info.min
+    product, inner = xp.where(tiny, 1.0, product), xp.where(tiny, 1.0, inner)
+    rate = 1.0 / (1.0 / product + 1.0 / inner)
+    return xp.where(edge, p / 2.0, xp.where(tiny, 0.0, rate))
 
 
 def x_gain_and_phase_error(scenario: Scenario) -> tuple[float, float]:

@@ -12,8 +12,8 @@ click-probability formula up to O(p_d) double-click corrections and keeps
 the Z-basis error exactly zero for p_d == 0.
 
 Randomness comes from a counter-based Philox generator keyed by a 64-bit
-seed; independent substreams for parallel chunks are derived by jumping the
-generator per stream index.
+seed: independent round streams jump the generator per stream index, and
+sifting draws from a key spawned from the seed.
 """
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 PHASE_SLICES = 16
-# Rounds per dark-count draw; the buffer is 512 KiB.
-DARK_BLOCK = 1 << 16
 
 # Sift labels; a pair's basis column holds the index into BASES.
 BASES = ("Z", "X", "zero", "discard")
@@ -111,19 +109,6 @@ def _mark_survivors(
     survived[carrying[rng.binomial(photons[carrying], eta) > 0]] = True
 
 
-def _or_dark_counts(rng: np.random.Generator, fired: np.ndarray, p_d: float) -> None:
-    """OR one detector's dark counts into ``fired``, one uniform per round.
-
-    Drawn in blocks into one buffer: each double takes one 64-bit word of
-    the stream, so the blocks reproduce a single ``rng.random(n)`` call.
-    """
-    buffer = np.empty(min(fired.size, DARK_BLOCK))
-    for start in range(0, fired.size, DARK_BLOCK):
-        block = buffer[: fired.size - start]
-        rng.random(out=block)
-        fired[start : start + block.size] |= block < p_d
-
-
 def simulate_rounds(
     scenario: Scenario, n_rounds: int, seed: int, stream: int = 0
 ) -> Rounds:
@@ -132,13 +117,15 @@ def simulate_rounds(
     Deterministic for fixed (scenario, n_rounds, seed, stream); separate
     streams are statistically independent.  The generator calls are part of
     the output: z_a, z_b, Poisson a, Poisson b, binomial a, binomial b,
-    detector port, dark L, dark R, phase a, phase b, each with the size it
-    has here.  Changing their order or sizes changes every column, so it is
-    a deliberate numeric change.
+    detector port, for L then R a dark count K ~ Binomial(n_rounds, p_d)
+    and a choice of K distinct rounds (the law of n_rounds Bernoulli(p_d)
+    flags), phase a, phase b.  Changing their order or sizes changes the
+    columns, so it is a deliberate numeric change.
 
     On top of the 10 B per round it returns, the transient peak is one
     party's signal indices and Poisson draws: 16 B per signal round, about
-    8 B per round.
+    8 B per round.  ``choice`` shuffles an index array of all rounds, the
+    same 8 B per round, only when K > n_rounds / 50 (p_d >= 0.02).
     """
     for name, value in (("n_rounds", n_rounds), ("stream", stream)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -165,8 +152,9 @@ def simulate_rounds(
     fired_r = rng.integers(0, 2, n_rounds, dtype=np.uint8).view(bool)
     fired_r &= fired_l
     fired_l ^= fired_r
-    _or_dark_counts(rng, fired_l, scenario.params.p_d)
-    _or_dark_counts(rng, fired_r, scenario.params.p_d)
+    for fired in (fired_l, fired_r):
+        dark = rng.binomial(n_rounds, scenario.params.p_d)
+        fired[rng.choice(n_rounds, dark, replace=False)] = True
     fired_l ^= fired_r  # exactly one detector fired
 
     phase_a = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
@@ -221,9 +209,10 @@ def sift_and_map(rounds: Rounds, pairs: Pairs, scenario: Scenario, seed: int = 0
     pairs derive bits from the phase-slice difference, keep only matching
     alignment angles, flip Bob's bit on an (L,R)/(R,L) detector pattern and
     then pass it through the misalignment channel, one uniform draw per kept
-    X pair in pair order.
+    X pair in pair order, from a key spawned from ``seed`` that no round
+    stream of ``simulate_rounds`` uses.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
     half = PHASE_SLICES // 2
     i, j = pairs.i, pairs.j
     a_i, a_j = rounds.z_a[i], rounds.z_a[j]

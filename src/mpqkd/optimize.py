@@ -290,10 +290,10 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     for step in (1.0 / (2.0 * _GRID_RESOLUTION), 2e-3):
         a, b = (v + step if v + step <= _MU_MAX else v - step for v in x)
         simplex = [x, (a, x[1]), (x[0], b)]
-        candidate, nit = _nelder_mead(lambda u, v: -rate(u, v), simplex, 1e-9, fatol)
+        # x, vertex 0, lies inside the box, and Nelder-Mead never trades its
+        # best vertex for a worse one: the result is never worse than x.
+        x, nit = _nelder_mead(lambda u, v: -rate(u, v), simplex, 1e-9, fatol)
         iterations += nit
-        if rate(*candidate) >= rate(*x):
-            x = candidate
     if rate(*x) < r_grid:
         x = (mu_a0, mu_b0)
     a, b, polish_steps = _newton_polish(rate, *x)

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -193,14 +194,16 @@ class TestDomainChecks:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        # subnormal click probabilities underflow the formula itself
         p=st.one_of(
-            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1e-300]),
-            st.floats(1e-6, 1.0),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1e-300, 5e-324]),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1e-150),
             st.floats(max_value=-1e-300),
             st.floats(min_value=1.0),
             st.lists(
-                st.one_of(st.just(math.nan), st.floats(1e-6, 2.0)), min_size=1, max_size=3
+                st.one_of(st.just(math.nan), st.floats(0.0, 1e-150), st.floats(0.0, 2.0)),
+                min_size=1,
+                max_size=3,
             ).map(np.array),
         ),
         lam=intervals,
@@ -356,6 +359,18 @@ class TestPairingRate:
         assert pairing_rate(p, lam).tolist() == pytest.approx(expected, rel=1e-14, abs=0.0)
         with pytest.raises(ValueError):
             pairing_rate(np.array([0.5, 1.1]), lam)
+
+    @pytest.mark.parametrize("lam", [1, 2.0, 1000])
+    def test_underflowed_rate_is_zero(self, lam):
+        # p w below the smallest normal double gives 0.0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1e-170, 1e-300, 5e-324):
+                assert pairing_rate(p, lam) == 0.0
+            rates = pairing_rate(np.array([1e-170, 5e-324, 0.0, 0.5]), lam)
+            assert rates.tolist() == [0.0, 0.0, 0.0, pairing_rate(0.5, lam)]
+            assert pairing_rate(1e-309, 1e300) == 0.0
+            assert pairing_rate(1e-150, 2.0) == pytest.approx(2e-300, rel=1e-12)
 
     def test_negative_click_rejected(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,8 @@ ROUND_COLUMNS = ("z_a", "z_b", "n_a", "n_b", "clicked", "detector", "phase_a", "
 
 
 def oracle_simulate_rounds(scenario, n_rounds: int, seed: int, stream: int = 0) -> Rounds:
-    """Reference: the full-length-array simulate_rounds that the blockwise,
-    temporary-free version replaced; it makes the same generator calls."""
+    """Reference: simulate_rounds built from full-length arrays, with the
+    same generator calls; the dark counts become full-length flag arrays."""
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
     bit_gen = np.random.Philox(seed)
@@ -53,8 +53,10 @@ def oracle_simulate_rounds(scenario, n_rounds: int, seed: int, stream: int = 0) 
 
     photon_port = rng.integers(0, 2, n_rounds, dtype=np.uint8)
     p_d = scenario.params.p_d
-    dark_l = rng.random(n_rounds) < p_d
-    dark_r = rng.random(n_rounds) < p_d
+    dark_l = np.zeros(n_rounds, dtype=bool)
+    dark_l[rng.choice(n_rounds, rng.binomial(n_rounds, p_d), replace=False)] = True
+    dark_r = np.zeros(n_rounds, dtype=bool)
+    dark_r[rng.choice(n_rounds, rng.binomial(n_rounds, p_d), replace=False)] = True
 
     got_photon = (survived_a + survived_b) > 0
     fired_l = (got_photon & (photon_port == 0)) | dark_l
@@ -175,6 +177,21 @@ class TestSimulateRounds:
         rounds = simulate_rounds(sc, 200_000, seed=3)
         assert int(np.count_nonzero(rounds.clicked)) == 0
 
+    @pytest.mark.parametrize("p_d", [0.0, 1e-2, 0.3])
+    def test_dark_counts_in_photonless_rounds(self, p_d):
+        # A round that sent no photon clicks on one lone dark count, with
+        # probability 2 p_d (1 - p_d), and as often on L as on R.  At 0.3
+        # numpy's choice shuffles an index array of all rounds; at 1e-2 it
+        # samples the K rounds one by one.
+        sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, SystemParams(p_d=p_d))
+        rounds = simulate_rounds(sc, 200_000, seed=19)
+        photonless = (rounds.n_a == 0) & (rounds.n_b == 0)
+        clicked = rounds.clicked[photonless]
+        q = 2.0 * p_d * (1.0 - p_d)
+        assert abs(clicked.mean() - q) <= 4.0 * math.sqrt(q * (1.0 - q) / clicked.size)
+        right = rounds.detector[photonless][clicked]
+        assert abs(right.sum() - right.size / 2.0) <= 4.0 * 0.5 * math.sqrt(right.size)
+
     def test_click_frequency_matches_model(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=11)
@@ -244,7 +261,7 @@ class TestSimulateRounds:
 
     def test_peak_memory(self):
         # 2e6 rounds keep 20 MB of columns (10 B/round); the transient peak
-        # is one party's signal indices and Poisson draws on top (28.0 MB in
+        # is one party's signal indices and Poisson draws on top (28.8 MB in
         # all).  The full-length version peaked at 64.3 MB.
         sc = make_scenario(10.0, 10.0, 0.5, 0.5, 100)
         peak = traced_peak(lambda: simulate_rounds(sc, 2_000_000, seed=1))
@@ -379,6 +396,19 @@ class TestSiftAndMap:
         assert len(sifted) == 4000
         flipped = int(np.count_nonzero(sifted.kappa_b == 1))
         assert 0.45 < flipped / len(sifted) < 0.55
+
+    @pytest.mark.parametrize("stream", range(4))
+    def test_misalignment_independent_of_rounds(self, stream):
+        # Pair k's misalignment draw must share no generator word with the
+        # rounds simulated at the same seed: among flipped pairs, Alice's z
+        # bits of rounds 8k..8k+7 stay fair.
+        sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, SystemParams(p_d=0.0, e_d=0.04))
+        copies = 100_000
+        rounds = pair_rounds(z_i=(1, 1), z_j=(1, 1), copies=copies)
+        flipped = sift_and_map(rounds, pair_clicks(rounds, 1), sc, seed=7).kappa_b == 1
+        z_a = simulate_rounds(sc, 8 * copies, seed=7, stream=stream).z_a.reshape(copies, 8)
+        ones = z_a[flipped].mean(axis=0)
+        assert np.all(np.abs(ones - 0.5) <= 4.0 * 0.5 / math.sqrt(np.count_nonzero(flipped)))
 
     def test_sifting_conservation(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
