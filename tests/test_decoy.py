@@ -113,7 +113,8 @@ def oracle_basis_lp(settings, totals, errors):
     """Reference LPs: :func:`oracle_lp_model` of the totals (min) and of the
     errors (max) solved through scipy's own HiGHS wrapper, the function
     ``linprog(method="highs")`` calls, with the options dict that linprog
-    hands it."""
+    hands it; a run that ends neither optimal nor infeasible is run again
+    without presolve, as in :func:`mpqkd.decoy.linprog`."""
     target = ORACLE_CUTOFF + 2  # the (1, 1) class
     results = []
     for observed, objective_sign in ((totals, 1.0), (errors, -1.0)):
@@ -121,18 +122,13 @@ def oracle_basis_lp(settings, totals, errors):
         a = sparse.csc_array(matrix)
         c = np.zeros(matrix.shape[1])
         c[target] = objective_sign
-        res = _linprog_highs._highs_wrapper(
-            c,
-            a.indptr,
-            a.indices,
-            a.data,
-            lhs,
-            rhs,
-            np.zeros(matrix.shape[1]),
-            np.ones(matrix.shape[1]),
-            np.empty(0, dtype=np.uint8),
-            linprog_highs_options(),
-        )
+        model = (c, a.indptr, a.indices, a.data, lhs, rhs)
+        bounds = (np.zeros(matrix.shape[1]), np.ones(matrix.shape[1]), np.empty(0, dtype=np.uint8))
+        res = _linprog_highs._highs_wrapper(*model, *bounds, linprog_highs_options())
+        if res["status"] not in (_core.HighsModelStatus.kOptimal, _core.HighsModelStatus.kInfeasible):
+            # the decoy LPs' second run, without presolve
+            options = {**linprog_highs_options(), "presolve": False}
+            res = _linprog_highs._highs_wrapper(*model, *bounds, options)
         if res["status"] == _core.HighsModelStatus.kInfeasible:
             raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
         if res["status"] != _core.HighsModelStatus.kOptimal:
@@ -568,6 +564,8 @@ class TestBounds:
     @example(distance_a=54.0, gap=0.25, mu_a=0.2, mu_b=0.2, nu_frac=0.001)
     @example(distance_a=44.0, gap=0.0, mu_a=0.3, mu_b=0.3, nu_frac=0.01)
     @example(distance_a=112.0, gap=0.0, mu_a=0.3, mu_b=0.3, nu_frac=0.001)
+    # presolve left this one's Z error LP "Unknown"
+    @example(distance_a=43.859375, gap=0.0, mu_a=0.2, mu_b=0.2, nu_frac=0.3)
     def test_bounds_bracket_the_truth(self, distance_a, gap, mu_a, mu_b, nu_frac):
         # on criterion 11's geometry and intensities, down to weak decoys
         # whose Poisson weights reach 1e-89: Z brackets the exact (1, 1)
@@ -708,6 +706,10 @@ class TestLinearProgram:
         nu_frac_a=st.floats(0.1, 0.35),
         nu_frac_b=st.floats(0.1, 0.35),
         p_d=st.sampled_from(DARK_COUNT_RATES),
+    )
+    # presolve left this one's Z error LP "Unknown"
+    @example(
+        distance_a=98.0, gap=0.0, mu_a=0.3, mu_b=0.3, nu_frac_a=0.3, nu_frac_b=0.3, p_d=1.2e-8
     )
     def test_bounds_equal_oracle(self, distance_a, gap, mu_a, mu_b, nu_frac_a, nu_frac_b, p_d):
         sc = make_scenario(
@@ -865,6 +867,34 @@ class TestLinearProgram:
         with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, limited)):
             with pytest.raises(RuntimeError, match="decoy LP failed: Iteration limit reached"):
                 mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
+
+    def test_unknown_status_is_solved_again_without_presolve(self):
+        # a run that ends "Unknown" is not a failure until the same model,
+        # solved from scratch without presolve, fails too
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        solve = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)[0]
+        core, options = mpqkd.decoy.load_highs()
+        whole = copy_options(options)
+        whole.presolve = "off"
+        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, whole)):
+            expected = mpqkd.decoy.linprog(solve["lp"], solve["column"])
+        runs = []
+
+        class UnknownOnceHighs(_core._Highs):
+            def run(self):
+                runs.append(self.getOptionValue("presolve")[1])
+                return super().run()
+
+            def getModelStatus(self):
+                if len(runs) == 1:
+                    return _core.HighsModelStatus.kUnknown
+                return super().getModelStatus()
+
+        with mock.patch.object(_core, "_Highs", UnknownOnceHighs):
+            assert mpqkd.decoy.linprog(solve["lp"], solve["column"]) == expected
+        assert runs == ["on", "off"]
 
     @pytest.mark.parametrize("rejected", ["options", "model"])
     def test_rejected_lp_is_a_failure(self, rejected):
