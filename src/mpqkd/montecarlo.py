@@ -1,9 +1,10 @@
 """Protocol-level Monte Carlo oracle.
 
 Simulates the per-round physics (intensity and phase choices, Poisson photon
-numbers, per-photon channel survival, dark counts, single-click detection),
-the greedy maximal-interval pairing, basis sifting and key mapping, and
-aggregates empirical statistics to validate the analytic model.
+numbers and whether any photon survives the channel, drawn jointly from one
+uniform per signal round, dark counts, single-click detection), the greedy
+maximal-interval pairing, basis sifting and key mapping, and aggregates
+empirical statistics to validate the analytic model.
 
 The detector model routes all surviving photons of a round to one uniformly
 chosen detector and adds independent dark counts per detector; a round is
@@ -17,6 +18,7 @@ sifting draws from a key spawned from the seed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 PHASE_SLICES = 16
+BLOCK = 1 << 16  # rounds per block of signal uniforms
 
 # Sift labels; a pair's basis column holds the index into BASES.
 BASES = ("Z", "X", "zero", "discard")
@@ -93,20 +96,40 @@ def _unset(n: int) -> np.ndarray:
     return np.full(n, UNSET, dtype=np.int8)
 
 
-def _photon_numbers(rng: np.random.Generator, z: np.ndarray, mu: float) -> np.ndarray:
-    """Poisson photon numbers of one party, drawn only for its signal rounds."""
+def _signal_edges(mu: float, eta: float) -> np.ndarray:
+    """Cumulative edges of a signal round's joint outcome (n, any photon survived).
+
+    Cell 0 is n = 0; cells 2n - 1 and 2n are n >= 1 photons, none and some
+    surviving: p_n (1 - eta)^n and p_n (1 - (1 - eta)^n), p_n = e^-mu mu^n / n!.
+    The table stops before the first n >= 2 with p_n < 2^-65; its last cell
+    absorbs that tail, below 1.5 p_n < 2^-64 as mu <= 1.
+    """
+    edges = [math.exp(-mu)]
+    for n in itertools.count(1):
+        p_n = math.exp(-mu) * mu**n / math.factorial(n)
+        if n > 1 and p_n < 2.0**-65:
+            return np.array(edges[:-1])
+        edges += [edges[-1] + p_n * (1.0 - eta) ** n, edges[-1] + p_n]  # edges[-1] = F(n - 1)
+
+
+def _photon_numbers(rng, z, survived, mu: float, eta: float) -> np.ndarray:
+    """One party's photon numbers; marks ``survived`` where any photon survived.
+
+    One uniform per signal round goes through ``_signal_edges``; only those
+    at or above p_0 are searched.  Blocks of ``BLOCK`` rounds keep the
+    transient small and draw the same uniforms as one whole-length call.
+    """
+    edges = _signal_edges(mu, eta)
     photons = np.zeros(z.size, dtype=np.int16)
-    signal = np.flatnonzero(z.view(bool))  # a bool view is ~8x faster than uint8
-    photons[signal] = rng.poisson(mu, signal.size)
+    for start in range(0, z.size, BLOCK):
+        signal = np.flatnonzero(z[start : start + BLOCK].view(bool))  # bool: ~8x faster
+        u = rng.random(signal.size)
+        carrying = np.flatnonzero(u >= edges[0])  # ~4x faster than a mask index
+        rounds = signal[carrying] + start
+        cell = np.searchsorted(edges, u[carrying], side="right")
+        photons[rounds] = (cell + 1) >> 1
+        survived[rounds] |= cell & 1 == 0
     return photons
-
-
-def _mark_survivors(
-    rng: np.random.Generator, survived: np.ndarray, photons: np.ndarray, eta: float
-) -> None:
-    """Set ``survived`` where at least one of a round's photons survives."""
-    carrying = np.flatnonzero(photons)
-    survived[carrying[rng.binomial(photons[carrying], eta) > 0]] = True
 
 
 def simulate_rounds(
@@ -116,60 +139,42 @@ def simulate_rounds(
 
     Deterministic for fixed (scenario, n_rounds, seed, stream); separate
     streams are statistically independent.  The generator calls are part of
-    the output: z_a, z_b, Poisson a, Poisson b, binomial a, binomial b,
-    detector port, for L then R a dark count K ~ Binomial(n_rounds, p_d)
-    and a choice of K distinct rounds (the law of n_rounds Bernoulli(p_d)
-    flags), phase a, phase b.  Changing their order or sizes changes the
-    columns, so it is a deliberate numeric change.
+    the output: one byte per round (bits 0-2: z_a, z_b, photon port 1 = R;
+    bits 4-7: phase a), phase b, one uniform per signal round of a, then of
+    b (``_photon_numbers``), and for L then R a dark count
+    K ~ Binomial(n_rounds, p_d) and a choice of K distinct rounds (the law
+    of n_rounds Bernoulli(p_d) flags).  Changing their order or sizes
+    changes the columns, so it is a deliberate numeric change.
 
     On top of the 10 B per round it returns, the transient peak is one
-    party's signal indices and Poisson draws: 16 B per signal round, about
-    8 B per round.  ``choice`` shuffles an index array of all rounds, the
-    same 8 B per round, only when K > n_rounds / 50 (p_d >= 0.02).
+    block's indices and uniforms, about 1 MB.  ``choice`` shuffles an index
+    array of all rounds, 8 B per round, only when K > n_rounds / 50
+    (p_d >= 0.02).
     """
-    for name, value in (("n_rounds", n_rounds), ("stream", stream)):
+    for name, value, least in (("n_rounds", n_rounds, 1), ("stream", stream, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_rounds < 1:
-        raise ValueError(f"need at least one round, got n_rounds={n_rounds}")
-    if stream < 0:
-        raise ValueError(f"stream must be >= 0, got {stream}")
-    bit_gen = np.random.Philox(seed)
-    if stream:
-        bit_gen = bit_gen.jumped(stream)
-    rng = np.random.Generator(bit_gen)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    rng = np.random.Generator(np.random.Philox(seed).jumped(stream))  # jumped(0): same state
 
-    z_a = rng.integers(0, 2, n_rounds, dtype=np.uint8)
-    z_b = rng.integers(0, 2, n_rounds, dtype=np.uint8)
-    n_a = _photon_numbers(rng, z_a, scenario.mu_a)
-    n_b = _photon_numbers(rng, z_b, scenario.mu_b)
+    bits = rng.integers(0, 256, n_rounds, dtype=np.uint8)
+    phase_b = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
+    z_a, z_b, fired_r = bits & 1, bits >> 1 & 1, (bits >> 2 & 1).view(bool)
+    phase_a = np.right_shift(bits, 4, out=bits)
 
     # In place: fired_l holds "a photon survived" until the photon port
-    # (1 = R) splits it, and ends as clicked; fired_r ends as detector.
+    # (fired_r, 1 = R) splits it, and ends as clicked; fired_r ends as detector.
     fired_l = np.zeros(n_rounds, dtype=bool)
-    _mark_survivors(rng, fired_l, n_a, scenario.eta_a)
-    _mark_survivors(rng, fired_l, n_b, scenario.eta_b)
-    fired_r = rng.integers(0, 2, n_rounds, dtype=np.uint8).view(bool)
+    n_a = _photon_numbers(rng, z_a, fired_l, scenario.mu_a, scenario.eta_a)
+    n_b = _photon_numbers(rng, z_b, fired_l, scenario.mu_b, scenario.eta_b)
     fired_r &= fired_l
     fired_l ^= fired_r
     for fired in (fired_l, fired_r):
         dark = rng.binomial(n_rounds, scenario.params.p_d)
         fired[rng.choice(n_rounds, dark, replace=False)] = True
     fired_l ^= fired_r  # exactly one detector fired
-
-    phase_a = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
-    phase_b = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
-
-    return Rounds(
-        z_a=z_a,
-        z_b=z_b,
-        n_a=n_a,
-        n_b=n_b,
-        clicked=fired_l,
-        detector=fired_r.view(np.uint8),
-        phase_a=phase_a,
-        phase_b=phase_b,
-    )
+    return Rounds(z_a, z_b, n_a, n_b, fired_l, fired_r.view(np.uint8), phase_a, phase_b)
 
 
 def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
@@ -249,20 +254,15 @@ class Estimate:
     denominator: int
 
     def within_sigmas(self, reference: float, sigmas: float = 3.0) -> bool:
-        band = sigmas * self.std_error
-        return abs(self.value - reference) <= band
+        return abs(self.value - reference) <= sigmas * self.std_error
 
 
 def _estimate(numerator: int, denominator: int) -> Estimate | None:
     if denominator == 0:
         return None
     value = numerator / denominator
-    return Estimate(
-        value=value,
-        std_error=math.sqrt(max(value * (1.0 - value), 0.0) / denominator),
-        numerator=numerator,
-        denominator=denominator,
-    )
+    std_error = math.sqrt(max(value * (1.0 - value), 0.0) / denominator)
+    return Estimate(value, std_error, numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -270,6 +270,7 @@ class EmpiricalStats:
     """Empirical counterparts of the analytic per-round quantities.
 
     Estimates are None when their denominator is empty (flagged undefined).
+    ``pairs_by_basis`` counts the pairs of each sift label, in ``BASES`` order.
     """
 
     p_hat: Estimate | None
@@ -277,6 +278,7 @@ class EmpiricalStats:
     r_s_hat: Estimate | None
     e_z_hat: Estimate | None
     q_bar_hat: Estimate | None
+    pairs_by_basis: tuple[int, ...]
 
 
 def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
@@ -285,21 +287,19 @@ def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
     ``pairs`` must already be sifted.  The single-photon tag uses the source
     photon numbers: exactly one photon per party in total across the pair.
     """
-    n_rounds = len(rounds)
     clicks = int(np.count_nonzero(rounds.clicked))
+    by_basis = tuple(int(np.count_nonzero(pairs.basis == code)) for code in range(len(BASES)))
     z = pairs.basis == Z
-    z_pairs = int(np.count_nonzero(z))
+    z_pairs = by_basis[Z]
     z_errors = int(np.count_nonzero(pairs.error[z] == 1))
     i, j = pairs.i[z], pairs.j[z]
-    single_photon = int(
-        np.count_nonzero(
-            (rounds.n_a[i] + rounds.n_a[j] == 1) & (rounds.n_b[i] + rounds.n_b[j] == 1)
-        )
-    )
+    one_each = (rounds.n_a[i] + rounds.n_a[j] == 1) & (rounds.n_b[i] + rounds.n_b[j] == 1)
+    single_photon = int(np.count_nonzero(one_each))
     return EmpiricalStats(
-        p_hat=_estimate(clicks, n_rounds),
-        r_p_hat=_estimate(len(pairs), n_rounds),
+        p_hat=_estimate(clicks, len(rounds)),
+        r_p_hat=_estimate(len(pairs), len(rounds)),
         r_s_hat=_estimate(z_pairs, len(pairs)),
         e_z_hat=_estimate(z_errors, z_pairs),
         q_bar_hat=_estimate(single_photon, z_pairs),
+        pairs_by_basis=by_basis,
     )

@@ -1,4 +1,5 @@
 """Tests for the Monte Carlo protocol oracle."""
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpqkd.model import SystemParams, key_rate, make_scenario, pairing_rate
+from mpqkd.model import Scenario, SystemParams, key_rate, make_scenario, pairing_rate
 from mpqkd.montecarlo import (
     BASES,
     PHASE_SLICES,
@@ -24,9 +25,35 @@ NO_DARK = SystemParams(p_d=0.0)
 ROUND_COLUMNS = ("z_a", "z_b", "n_a", "n_b", "clicked", "detector", "phase_a", "phase_b")
 
 
+def oracle_photons(rng, z, mu: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference photon numbers of one party, and where any photon survived.
+
+    One whole-length call draws a uniform u per signal round.  n is the
+    number of Poisson CDF values F(0), F(1), ... at or below u, up to the
+    first n >= 1 whose tail P(N > n) is below 2^-64, which takes the rest;
+    a round with n >= 1 photons lost them all iff u < F(n - 1) + p_n (1 - eta)^n.
+    simulate_rounds may cut the tail one photon number later; that moves a
+    round only when u lies within a few ulp of 1.
+    """
+    pmf = [math.exp(-mu) * mu**n / math.factorial(n) for n in range(40)]
+    n_max = next(n for n in itertools.count(1) if math.fsum(pmf[n + 1 :]) < 2.0**-64)
+    cdf = np.cumsum(pmf[:n_max])
+    lost_below = [0.0] + [cdf[n - 1] + pmf[n] * (1.0 - eta) ** n for n in range(1, n_max + 1)]
+    signal = np.flatnonzero(z)
+    u = rng.random(signal.size)
+    n = np.searchsorted(cdf, u, side="right")
+    photons = np.zeros(z.size, dtype=np.int16)
+    photons[signal] = n
+    survived = np.zeros(z.size, dtype=bool)
+    survived[signal] = (n > 0) & (u >= np.array(lost_below)[n])
+    return photons, survived
+
+
 def oracle_simulate_rounds(scenario, n_rounds: int, seed: int, stream: int = 0) -> Rounds:
-    """Reference: simulate_rounds built from full-length arrays, with the
-    same generator calls; the dark counts become full-length flag arrays."""
+    """Reference: simulate_rounds derived from the same raw draws, each taken
+    in one whole-length call: the bits of one byte per round by explicit
+    shifts, phase b, the photons of a then b (``oracle_photons``), and the
+    dark counts as full-length flag arrays."""
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
     bit_gen = np.random.Philox(seed)
@@ -34,38 +61,26 @@ def oracle_simulate_rounds(scenario, n_rounds: int, seed: int, stream: int = 0) 
         bit_gen = bit_gen.jumped(stream)
     rng = np.random.Generator(bit_gen)
 
-    z_a = rng.integers(0, 2, n_rounds, dtype=np.uint8)
-    z_b = rng.integers(0, 2, n_rounds, dtype=np.uint8)
+    byte = rng.integers(0, 256, n_rounds, dtype=np.uint8)
+    phase_b = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
+    z_a = (byte >> 0) & 1
+    z_b = (byte >> 1) & 1
+    photon_port = (byte >> 2) & 1
+    phase_a = (byte >> 4) & 15
+    n_a, survived_a = oracle_photons(rng, z_a, scenario.mu_a, scenario.eta_a)
+    n_b, survived_b = oracle_photons(rng, z_b, scenario.mu_b, scenario.eta_b)
 
-    n_a = np.zeros(n_rounds, dtype=np.int16)
-    n_b = np.zeros(n_rounds, dtype=np.int16)
-    signal_a = np.flatnonzero(z_a)
-    signal_b = np.flatnonzero(z_b)
-    n_a[signal_a] = rng.poisson(scenario.mu_a, signal_a.size)
-    n_b[signal_b] = rng.poisson(scenario.mu_b, signal_b.size)
-
-    survived_a = np.zeros(n_rounds, dtype=np.int16)
-    survived_b = np.zeros(n_rounds, dtype=np.int16)
-    carrying_a = np.flatnonzero(n_a)
-    carrying_b = np.flatnonzero(n_b)
-    survived_a[carrying_a] = rng.binomial(n_a[carrying_a], scenario.eta_a)
-    survived_b[carrying_b] = rng.binomial(n_b[carrying_b], scenario.eta_b)
-
-    photon_port = rng.integers(0, 2, n_rounds, dtype=np.uint8)
     p_d = scenario.params.p_d
     dark_l = np.zeros(n_rounds, dtype=bool)
     dark_l[rng.choice(n_rounds, rng.binomial(n_rounds, p_d), replace=False)] = True
     dark_r = np.zeros(n_rounds, dtype=bool)
     dark_r[rng.choice(n_rounds, rng.binomial(n_rounds, p_d), replace=False)] = True
 
-    got_photon = (survived_a + survived_b) > 0
+    got_photon = survived_a | survived_b
     fired_l = (got_photon & (photon_port == 0)) | dark_l
     fired_r = (got_photon & (photon_port == 1)) | dark_r
     clicked = fired_l ^ fired_r
     detector = np.where(fired_r, np.uint8(1), np.uint8(0))
-
-    phase_a = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
-    phase_b = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
 
     return Rounds(
         z_a=z_a,
@@ -77,6 +92,13 @@ def oracle_simulate_rounds(scenario, n_rounds: int, seed: int, stream: int = 0) 
         phase_a=phase_a,
         phase_b=phase_b,
     )
+
+
+def assert_counts_within_5_sigma(counts, total: int, name: str = "") -> None:
+    """Each (count, probability) lies within 5 binomial sigmas of total * probability."""
+    for count, p in counts:
+        sigma = math.sqrt(total * p * (1.0 - p))
+        assert abs(count - total * p) <= 5.0 * sigma, (name, count, total * p, sigma)
 
 
 def traced_peak(call) -> int:
@@ -173,9 +195,49 @@ class TestSimulateRounds:
         assert not np.array_equal(a.z_a, b.z_a)
 
     def test_negligible_signal_never_clicks(self):
-        sc = make_scenario(100.0, 100.0, 1e-12, 1e-12, 100, NO_DARK)
-        rounds = simulate_rounds(sc, 200_000, seed=3)
-        assert int(np.count_nonzero(rounds.clicked)) == 0
+        # 5e-324, the least intensity Scenario admits, makes p_0 = 1.0
+        for mu in (1e-12, 5e-324):
+            sc = make_scenario(100.0, 100.0, mu, mu, 100, NO_DARK)
+            rounds = simulate_rounds(sc, 200_000, seed=3)
+            assert not rounds.n_a.any() and not rounds.n_b.any(), mu
+            assert int(np.count_nonzero(rounds.clicked)) == 0, mu
+
+    @pytest.mark.parametrize("mu, eta", [(0.5, 0.1), (0.05, 0.9), (1.0, 1.0)])
+    def test_photon_and_survival_law(self, mu, eta):
+        # Party b sends no photon and p_d = 0, so a round clicks iff one of
+        # a's photons survived; the detector of a click is the photon port.
+        sc = Scenario(eta, eta, mu, 5e-324, 100, SystemParams(eta_d=1.0, p_d=0.0))
+        rounds = simulate_rounds(sc, 2_000_000, seed=41)
+        signal = rounds.z_a == 1
+        n, survived = rounds.n_a[signal], rounds.clicked[signal]
+        assert n.size >= 1_000_000
+        assert not rounds.clicked[~signal].any()
+        # cell 2n + survived; the survived cell of n = 0 has probability 0
+        observed = np.bincount(2 * n.astype(np.int64) + survived, minlength=80)
+        law = np.zeros(observed.size)
+        law[0] = math.exp(-mu)
+        for k in range(1, 40):
+            p_k = math.exp(-mu) * mu**k / math.factorial(k)
+            law[2 * k : 2 * k + 2] = p_k * (1.0 - eta) ** k, p_k * (1.0 - (1.0 - eta) ** k)
+        # Cells expected fewer than 10 times are pooled into one tail cell;
+        # a cell of probability 0 (lost cells at eta = 1) must stay empty.
+        kept = (law * n.size >= 10.0) | (law == 0.0)
+        counts = list(zip(observed[kept].tolist(), law[kept]))
+        counts.append((int(observed[~kept].sum()), float(law[~kept].sum())))
+        assert_counts_within_5_sigma(counts, n.size)
+
+        uniform_columns = {
+            "z_a": (rounds.z_a, 2),
+            "z_b": (rounds.z_b, 2),
+            "z_a x z_b": (2 * rounds.z_a + rounds.z_b, 4),
+            "photon port": (rounds.detector[rounds.clicked], 2),
+            "phase_a": (rounds.phase_a, PHASE_SLICES),
+            "phase_b": (rounds.phase_b, PHASE_SLICES),
+        }
+        for name, (column, k) in uniform_columns.items():
+            tally = np.bincount(column, minlength=k)
+            assert tally.size == k, name
+            assert_counts_within_5_sigma([(int(c), 1.0 / k) for c in tally], column.size, name)
 
     @pytest.mark.parametrize("p_d", [0.0, 1e-2, 0.3])
     def test_dark_counts_in_photonless_rounds(self, p_d):
@@ -261,11 +323,12 @@ class TestSimulateRounds:
 
     def test_peak_memory(self):
         # 2e6 rounds keep 20 MB of columns (10 B/round); the transient peak
-        # is one party's signal indices and Poisson draws on top (28.8 MB in
-        # all).  The full-length version peaked at 64.3 MB.
+        # is one block's signal indices and uniforms on top (21.1 MB in all).
+        # Whole-length Poisson draws peaked at 28.0 MB, the full-length
+        # version at 64.3 MB.
         sc = make_scenario(10.0, 10.0, 0.5, 0.5, 100)
         peak = traced_peak(lambda: simulate_rounds(sc, 2_000_000, seed=1))
-        assert peak <= 32e6
+        assert peak <= 24e6
 
 
 class TestPairClicks:
@@ -419,6 +482,9 @@ class TestSiftAndMap:
         }
         assert sum(by_basis.values()) == len(pairs)
         assert by_basis["Z"] > 0 and by_basis["X"] > 0
+        stats = estimate_statistics(pairs, rounds)
+        assert stats.pairs_by_basis == tuple(by_basis.values())
+        assert stats.r_s_hat.numerator == by_basis["Z"]
 
 
 class TestEstimateStatistics:
