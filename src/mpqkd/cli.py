@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="maximal pairing interval (integer or 'inf')",
     )
-    opt_cmd.add_argument("--e-d", type=float, default=0.04, help="misalignment error")
+    opt_cmd.add_argument("--e-d", type=float, default=SystemParams().e_d, help="misalignment error")
     return parser
 
 

@@ -2,9 +2,10 @@
 
 The key-rate surface over (mu_a, mu_b) has a single peak, so a coarse grid
 scan followed by derivative-free simplex refinement locates the global
-maximizer reliably.  The grid is one array evaluation
-(:meth:`OptimizationProblem.rate_grid`); the grid's best rate and the
-refinement use the scalar :meth:`OptimizationProblem.rate`.  The refinement is
+maximizer reliably.  The grid is one :func:`~mpqkd.model.key_rate_grid` call.
+The grid's best point and the refinement evaluate the scalar
+:meth:`OptimizationProblem.rate` through one memo, once per intensity pair;
+``OptimumReport.evaluations`` counts those pairs.  The refinement is
 a bounded Nelder-Mead on Python floats (:func:`_nelder_mead`) that evaluates
 the points scipy's would, in the same order.  A short Newton polish on
 central finite differences sharpens the final point to well below the 1e-4
@@ -85,15 +86,12 @@ class OptimizationProblem:
     def rate(self, mu_a: float, mu_b: float) -> float:
         return key_rate(self.scenario(mu_a, mu_b)).rate
 
-    def rate_grid(self, mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
-        """The rate broadcast over intensity arrays."""
-        return key_rate_grid(self.scenario(1.0, 1.0), mu_a, mu_b)
-
 
 @dataclass(frozen=True)
 class OptimumReport:
     """Result of an intensity optimization.  ``evaluations`` counts its
-    scalar rate evaluations, a cost that equality ignores."""
+    scalar rate evaluations, one per distinct intensity pair, a cost that
+    equality ignores."""
 
     mu_a_star: float
     mu_b_star: float
@@ -121,20 +119,20 @@ def _grid_best(rates: np.ndarray) -> int:
     return k_best
 
 
-def _grid_scan(problem: OptimizationProblem) -> tuple[float, float, float]:
-    """Best point of a uniform grid over (0, 1]^2, with its scalar rate.
+def _grid_scan(problem: OptimizationProblem) -> tuple[float, float]:
+    """Best point of a uniform grid over (0, 1]^2.
 
-    The grid is one ``rate_grid`` call, scanned in row-major order by
-    :func:`_grid_best`, so ties keep the smaller mu_a (then smaller mu_b)
-    for deterministic output.  The returned rate is the scalar one at the
-    chosen point, the value the refinement compares against.
+    The grid is one :func:`~mpqkd.model.key_rate_grid` call, scanned in
+    row-major order by :func:`_grid_best`, so ties keep the smaller mu_a
+    (then smaller mu_b) for deterministic output.  The caller evaluates the
+    point's scalar rate through its memo, so ``OptimumReport.evaluations``
+    counts it once, also when it is Nelder-Mead's start.
     """
     resolution = _GRID_RESOLUTION
     mu = [i / resolution for i in range(1, resolution + 1)]
     axis = np.array(mu)
-    k_best = _grid_best(problem.rate_grid(axis[:, None], axis).ravel())
-    mu_a, mu_b = mu[k_best // resolution], mu[k_best % resolution]
-    return problem.rate(mu_a, mu_b), mu_a, mu_b
+    k_best = _grid_best(key_rate_grid(problem.scenario(1.0, 1.0), axis[:, None], axis).ravel())
+    return mu[k_best // resolution], mu[k_best % resolution]
 
 
 def _clip(a: float, b: float) -> tuple[float, float]:  # NaN stays NaN
@@ -273,11 +271,12 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     Newton polish.  If the rate is zero everywhere on the grid (e.g. beyond
     the distance cutoff), the report comes back non-converged with r_star == 0.
     """
-    # Nelder-Mead's start and result, the polish's stencils and the final
-    # checks revisit points already evaluated; each is computed once.  The
-    # grid's best point is evaluated outside the memo: one evaluation more.
+    # The grid's best point (usually Nelder-Mead's start), Nelder-Mead's
+    # result, the polish's stencils and the final checks revisit points
+    # already evaluated; each is computed once.
     rate = functools.cache(problem.rate)
-    r_grid, mu_a0, mu_b0 = _grid_scan(problem)
+    mu_a0, mu_b0 = _grid_scan(problem)
+    r_grid = rate(mu_a0, mu_b0)
     if r_grid <= 0.0:
         return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, 1)
 
@@ -298,7 +297,7 @@ def optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
         x = (mu_a0, mu_b0)
     a, b, polish_steps = _newton_polish(rate, *x)
     r_star = rate(a, b)
-    converged, evaluations = _stationary(rate, a, b, r_star), 1 + rate.cache_info().misses
+    converged, evaluations = _stationary(rate, a, b, r_star), rate.cache_info().misses
     return OptimumReport(a, b, r_star, iterations + polish_steps, converged, evaluations)
 
 

@@ -79,16 +79,12 @@ def linearized_key_rate(scenario: Scenario) -> KeyRateBreakdown:
 class LinearizedProblem(OptimizationProblem):
     """An optimization problem whose objective is the linearized closed-form
     model (:func:`linearized_key_rate`), so the optimizer can be
-    checked against the model's closed-form stationary points.  Its grid is
-    one scalar evaluation per point."""
+    checked against the model's closed-form stationary points.  The grid
+    scan, which only picks the refinement's start, still runs on the full
+    model's :func:`mpqkd.model.key_rate_grid`."""
 
     def rate(self, mu_a: float, mu_b: float) -> float:
         return linearized_key_rate(self.scenario(mu_a, mu_b)).rate
-
-    def rate_grid(self, mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
-        mu_a, mu_b = np.broadcast_arrays(mu_a, mu_b)
-        rates = [self.rate(a, b) for a, b in zip(mu_a.ravel().tolist(), mu_b.ravel().tolist())]
-        return np.array(rates).reshape(mu_a.shape)
 
 
 def loop_grid_best(rates) -> int:
@@ -174,7 +170,8 @@ def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     scipy's ``minimize(method="Nelder-Mead")`` and numpy arrays, the way it
     ran before the module had its own Nelder-Mead loop."""
     rate = functools.cache(problem.rate)
-    r_grid, mu_a0, mu_b0 = _grid_scan(problem)
+    mu_a0, mu_b0 = _grid_scan(problem)
+    r_grid = rate(mu_a0, mu_b0)
     if r_grid <= 0.0:
         return OptimumReport(mu_a0, mu_b0, 0.0, 0, False, 1)
     pull = 1.0 / _GRID_RESOLUTION
@@ -199,7 +196,7 @@ def scipy_optimize_intensities(problem: OptimizationProblem) -> OptimumReport:
     r_star = rate(a, b)
     converged = _stationary(rate, a, b, r_star)
     return OptimumReport(
-        a, b, r_star, iterations + polish_steps, converged, 1 + rate.cache_info().misses
+        a, b, r_star, iterations + polish_steps, converged, rate.cache_info().misses
     )
 
 

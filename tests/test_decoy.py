@@ -936,6 +936,12 @@ class TestDecoyKeyRate:
         bounds = bound_single_photon(expected_observables(sc, cfg), cfg)
         degenerate = type(bounds)(**{**bounds.__dict__, "phase_error_upper": None})
         assert decoy_key_rate(degenerate, 1e-5, 0.0, sc.params) == 0.0
+        # no X observable at all: the X bounds are the trivial (0, 1)
+        observables = replace(expected_observables(sc, cfg), x_total={}, x_error={})
+        no_x = bound_single_photon(observables, cfg)
+        assert (no_x.m_x_11_lower, no_x.e_x_11_upper, no_x.phase_error_upper) == (0.0, 1.0, None)
+        assert astuple(no_x)[:2] == astuple(bounds)[:2]
+        assert decoy_key_rate(no_x, 1e-5, 0.0, sc.params) == 0.0
 
     def test_zero_observed_error_drops_correction_term(self):
         sc = reference_scenario()

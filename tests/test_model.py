@@ -720,13 +720,15 @@ class TestKeyRateGrid:
             (scenario_with_etas(1e-300, 1e-300, 0.5, 0.5, math.inf), ModelDegenerateError),
             (scenario_with_etas(1e-300, 1e-300, 0.5, 0.5, 1e6), ModelDegenerateError),
             (scenario_at(params=SystemParams(p_d=0.6)), ValueError),
+            # without dark counts, party a's pulse never clicks: no Z pair
+            (scenario_with_etas(0.1, 0.1, 5e-324, 0.5), ModelDegenerateError),
         ],
-        ids=["blackout", "blackout-finite-interval", "click-above-one"],
+        ids=["blackout", "blackout-finite-interval", "click-above-one", "no-z-pair"],
     )
     def test_rejects_degenerate_scenarios(self, scenario, error):
         # at the blackouts p * p and p * w underflow to zero
         with pytest.raises(error):
-            key_rate_grid(scenario, np.array([0.5]), np.array([0.5]))
+            key_rate_grid(scenario, np.array([scenario.mu_a]), np.array([scenario.mu_b]))
         with pytest.raises(error):
             key_rate(scenario)
 

@@ -76,6 +76,24 @@ class TestSpecParsing:
         with pytest.raises(SweepValidationError, match="delta_list"):
             load_spec({**CUSTOM_BASE, "delta_list": [-5]})
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"mode": "fig9"}, "mode: must be one of ("),
+            ({**CUSTOM_BASE, "delta_list": []}, "delta_list: must be nonempty"),
+            ({**CUSTOM_BASE, "lambda_list": []}, "lambda_list: must be nonempty"),
+            ({**CUSTOM_BASE, "e_d_list": []}, "e_d_list: must be nonempty"),
+            ({**CUSTOM_BASE, "e_d_list": [0.04, 0.51]}, "e_d_list: misalignment must be in"),
+            ({**CUSTOM_BASE, "e_d_list": [-0.01]}, "e_d_list: misalignment must be in"),
+        ],
+        ids=["unknown-mode", "no-gaps", "no-intervals", "no-misalignments", "e_d-above-half",
+             "e_d-negative"],
+    )
+    def test_out_of_domain_values_rejected(self, spec, message):
+        with pytest.raises(SweepValidationError) as error:
+            load_spec(spec)
+        assert str(error.value).startswith(message)
+
     @pytest.mark.parametrize("gap", [math.nan, math.inf])
     def test_non_finite_gap_rejected_at_construction(self, gap):
         # load_spec rejects these as JSON values; a spec built in Python must too
@@ -197,6 +215,9 @@ class TestSpecParsing:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(CUSTOM_BASE))
         assert load_spec(str(path)).mode == "custom"
+        path.write_text(json.dumps([CUSTOM_BASE]))
+        with pytest.raises(SweepValidationError, match="spec document must be a JSON object"):
+            load_spec(str(path))
 
 
 class TestProblems:
@@ -391,7 +412,7 @@ class TestRunSweep:
 
     def test_evaluations_of_the_bench_sweep(self, monkeypatch):
         # the bench's fig-parallel sweep at seed 1 (its grid shifted by 1 km):
-        # 17 problems, 3,054 scalar rate evaluations, the key_rate calls made
+        # 17 problems, 3,040 scalar rate evaluations, the key_rate calls made
         reports, key_rates = [], []
         optimize, key_rate = mpqkd.sweep.optimize_intensities, mpqkd.optimize.key_rate
 
@@ -403,7 +424,7 @@ class TestRunSweep:
         monkeypatch.setattr(mpqkd.optimize, "key_rate", lambda s: key_rates.append(s) or key_rate(s))
         run_sweep(load_spec({**FIG4_TRIMMED, "distance_start": 201, "distance_stop": 401}))
         assert len(reports) == 17
-        assert sum(report.evaluations for report in reports) == len(key_rates) == 3054
+        assert sum(report.evaluations for report in reports) == len(key_rates) == 3040
 
     def test_one_map_per_sweep(self, monkeypatch):
         maps = []
@@ -527,6 +548,12 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
         assert out.exists()
         assert "wrote 2 rows" in capsys.readouterr().out
+        # --out overrides the config's out
+        override = tmp_path / "override.csv"
+        out.unlink()
+        assert main(["run", "--config", str(config), "--out", str(override)]) == 0
+        assert override.exists() and not out.exists()
+        assert f"wrote 2 rows to {override}" in capsys.readouterr().out
 
     def test_run_without_out_prints_csv(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
@@ -673,6 +700,16 @@ class TestCli:
         assert main(["verify", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_verify_reports_a_failed_check(self, tmp_path, capsys):
+        # one round makes no pair: the r_s check fails with deviation inf,
+        # and verify reports it and exits 3 rather than raise
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**CUSTOM_BASE, "delta_list": [0], "n_rounds": 1}))
+        assert main(["verify", "--config", str(config)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL point0(total=200,gap=0,lam=100):r_s (deviation=inf)" in lines
+        assert lines[-1].endswith("/5 checks passed")
 
     def test_missing_lp_core_is_an_environment_error(self, tmp_path, capsys, monkeypatch):
         # a scipy without the HiGHS core: one line on stderr and code 4, not
