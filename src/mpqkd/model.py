@@ -96,6 +96,11 @@ class SystemParams:
         # 0.5 permitted so the all-noise limit e_d == E_0 stays constructible.
         if not 0.0 <= self.e_d <= 0.5:
             raise ValueError(f"misalignment error must be in [0, 0.5], got {self.e_d}")
+        values = (self.eta_d, self.alpha, self.p_d, self.f, self.e_d)
+        object.__setattr__(self, "_hash", hash(values))  # the generated hash, computed once
+
+    def __hash__(self) -> int:
+        return self._hash  # _fixed_terms' cache hashes the params on every call
 
 
 def transmittance_from_distance(distance_km: float, params: SystemParams) -> float:

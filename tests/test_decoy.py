@@ -1,5 +1,6 @@
 """Tests for decoy-state observables, bounds and the decoy key rate."""
 import functools
+import itertools
 import math
 import random
 import threading
@@ -113,8 +114,8 @@ def oracle_basis_lp(settings, totals, errors):
     """Reference LPs: :func:`oracle_lp_model` of the totals (min) and of the
     errors (max) solved through scipy's own HiGHS wrapper, the function
     ``linprog(method="highs")`` calls, with the options dict that linprog
-    hands it; a run that ends neither optimal nor infeasible is run again
-    without presolve, as in :func:`mpqkd.decoy.linprog`."""
+    hands it, less presolve; a run that ends neither optimal nor infeasible
+    is run again with presolve, as in :func:`mpqkd.decoy.linprog`."""
     target = ORACLE_CUTOFF + 2  # the (1, 1) class
     results = []
     for observed, objective_sign in ((totals, 1.0), (errors, -1.0)):
@@ -124,11 +125,11 @@ def oracle_basis_lp(settings, totals, errors):
         c[target] = objective_sign
         model = (c, a.indptr, a.indices, a.data, lhs, rhs)
         bounds = (np.zeros(matrix.shape[1]), np.ones(matrix.shape[1]), np.empty(0, dtype=np.uint8))
-        res = _linprog_highs._highs_wrapper(*model, *bounds, linprog_highs_options())
+        options = {**linprog_highs_options(), "presolve": False}
+        res = _linprog_highs._highs_wrapper(*model, *bounds, options)
         if res["status"] not in (_core.HighsModelStatus.kOptimal, _core.HighsModelStatus.kInfeasible):
-            # the decoy LPs' second run, without presolve
-            options = {**linprog_highs_options(), "presolve": False}
-            res = _linprog_highs._highs_wrapper(*model, *bounds, options)
+            # the decoy LPs' second run, with presolve
+            res = _linprog_highs._highs_wrapper(*model, *bounds, linprog_highs_options())
         if res["status"] == _core.HighsModelStatus.kInfeasible:
             raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
         if res["status"] != _core.HighsModelStatus.kOptimal:
@@ -566,6 +567,8 @@ class TestBounds:
     @example(distance_a=112.0, gap=0.0, mu_a=0.3, mu_b=0.3, nu_frac=0.001)
     # presolve left this one's Z error LP "Unknown"
     @example(distance_a=43.859375, gap=0.0, mu_a=0.2, mu_b=0.2, nu_frac=0.3)
+    # without presolve, this one's X total LP ends "Unknown"
+    @example(distance_a=40.0, gap=0.0, mu_a=0.9, mu_b=0.9, nu_frac=0.01)
     def test_bounds_bracket_the_truth(self, distance_a, gap, mu_a, mu_b, nu_frac):
         # on criterion 11's geometry and intensities, down to weak decoys
         # whose Poisson weights reach 1e-89: Z brackets the exact (1, 1)
@@ -585,6 +588,25 @@ class TestBounds:
         assert bounds.m_z_11_lower <= single_photon_z_yield(sc) * (1 + 1e-9)
         assert bounds.e_z_11_upper >= single_photon_z_error_yield(sc) * (1 - 1e-9)
         assert bounds.m_x_11_lower <= key_rate(sc).y_11 * (1 + 1e-6)
+
+    def test_symmetric_grid_brackets_the_truth(self):
+        # gap 0 and mu_a == mu_b: every LP that ended "Unknown" without
+        # presolve on a 10,080-scenario grid over arm, gap, mu_a, mu_b,
+        # nu / mu and p_d lies in this 504-scenario part of it.  Every bound
+        # solves, and Z brackets the exact (1, 1) yields.
+        grid = itertools.product(
+            range(20, 141, 20),
+            (0.05, 0.21, 0.5, 0.9),
+            (0.0005, 0.001, 0.01, 0.05, 0.2, 0.35),
+            (1.2e-8, 1e-6, 1e-4),
+        )
+        for arm, mu, nu_frac, p_d in grid:
+            nu = mu * nu_frac
+            sc = make_scenario(arm, arm, mu, mu, 1e6, SystemParams(p_d=p_d), nu_a=nu, nu_b=nu)
+            cfg = decoy_config_for(sc)
+            bounds = bound_single_photon(expected_observables(sc, cfg), cfg)
+            assert bounds.m_z_11_lower <= single_photon_z_yield(sc) * (1 + 1e-9), sc
+            assert bounds.e_z_11_upper >= single_photon_z_error_yield(sc) * (1 - 1e-9), sc
 
     def test_starts_no_thread(self):
         sc = reference_scenario()
@@ -711,6 +733,10 @@ class TestLinearProgram:
     @example(
         distance_a=98.0, gap=0.0, mu_a=0.3, mu_b=0.3, nu_frac_a=0.3, nu_frac_b=0.3, p_d=1.2e-8
     )
+    # without presolve, this one's X error LP ends "Unknown"
+    @example(
+        distance_a=20.0, gap=0.0, mu_a=0.5, mu_b=0.5, nu_frac_a=5e-4, nu_frac_b=5e-4, p_d=1.2e-8
+    )
     def test_bounds_equal_oracle(self, distance_a, gap, mu_a, mu_b, nu_frac_a, nu_frac_b, p_d):
         sc = make_scenario(
             distance_a,
@@ -811,9 +837,9 @@ class TestLinearProgram:
     def test_highs_gets_the_reference_model(self, distance_a, gap, mu_a, mu_b, nu_frac, s_nu, p_d):
         # HiGHS receives the reference models, one ranged row per setting in
         # each, and the options that scipy's linprog hands its HiGHS
-        # wrapper: the float vectors bit for bit and in the same dtype, the
-        # CSC index arrays (which HiGHS stores in its own integer type) value
-        # for value
+        # wrapper, with presolve off: the float vectors bit for bit and in
+        # the same dtype, the CSC index arrays (which HiGHS stores in its own
+        # integer type) value for value
         sc = make_scenario(
             distance_a,
             distance_a + gap,
@@ -825,7 +851,7 @@ class TestLinearProgram:
             nu_b=mu_b * nu_frac,
         )
         cfg = decoy_config_for(sc, s_nu=s_nu)
-        options = scipy_highs_options(linprog_highs_options())
+        options = scipy_highs_options({**linprog_highs_options(), "presolve": False})
         for basis in basis_observables(expected_observables(sc, cfg), cfg):
             solves = decoy_lp_inputs(*basis)
             assert len(solves) == 2
@@ -868,17 +894,17 @@ class TestLinearProgram:
             with pytest.raises(RuntimeError, match="decoy LP failed: Iteration limit reached"):
                 mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
 
-    def test_unknown_status_is_solved_again_without_presolve(self):
+    def test_unknown_status_is_solved_again_with_presolve(self):
         # a run that ends "Unknown" is not a failure until the same model,
-        # solved from scratch without presolve, fails too
+        # solved from scratch with presolve, fails too
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
         solve = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)[0]
         core, options = mpqkd.decoy.load_highs()
-        whole = copy_options(options)
-        whole.presolve = "off"
-        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, whole)):
+        presolved = copy_options(options)
+        presolved.presolve = "on"
+        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, presolved)):
             expected = mpqkd.decoy.linprog(solve["lp"], solve["column"])
         runs = []
 
@@ -894,7 +920,23 @@ class TestLinearProgram:
 
         with mock.patch.object(_core, "_Highs", UnknownOnceHighs):
             assert mpqkd.decoy.linprog(solve["lp"], solve["column"]) == expected
-        assert runs == ["on", "off"]
+        assert runs == ["off", "on"]
+
+    def test_unknown_lp_is_solved_again_with_presolve(self):
+        # a real LP, not a mocked status: at this symmetric scenario the last
+        # of the four LPs, the X error one, runs without presolve, then with it
+        sc = make_scenario(20.0, 20.0, 0.5, 0.5, 1e6, nu_a=0.5 * 5e-4, nu_b=0.5 * 5e-4)
+        cfg = decoy_config_for(sc)
+        runs = []
+
+        class RecordingHighs(_core._Highs):
+            def run(self):
+                runs.append(self.getOptionValue("presolve")[1])
+                return super().run()
+
+        with mock.patch.object(_core, "_Highs", RecordingHighs):
+            bound_single_photon(expected_observables(sc, cfg), cfg)
+        assert runs == ["off", "off", "off", "off", "on"]
 
     @pytest.mark.parametrize("rejected", ["options", "model"])
     def test_rejected_lp_is_a_failure(self, rejected):

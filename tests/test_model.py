@@ -1,6 +1,7 @@
 """Tests for the analytic channel and key-rate model."""
 import dataclasses
 import math
+import pickle
 import random
 import warnings
 
@@ -86,6 +87,15 @@ class TestParamsAndTypes:
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
+
+    def test_params_hash_is_the_field_tuples(self):
+        # the hash is computed once per instance: a replaced field and a
+        # pickled copy, as a pool worker gets it, hash as their fields do
+        replaced = dataclasses.replace(PARAMS, p_d=1e-4)
+        copied = pickle.loads(pickle.dumps(SystemParams(e_d=0.12)))
+        assert copied == SystemParams(e_d=0.12)
+        for params in (PARAMS, replaced, copied):
+            assert hash(params) == hash(dataclasses.astuple(params))
 
     def test_package_exports_resolve(self):
         for name in mpqkd.__all__:
