@@ -27,6 +27,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import ModuleType
@@ -141,9 +142,13 @@ class DecoyConfig:
         sums_a, sums_b = ({2.0 * level for level in self.levels(party)} for party in "ab")
         return self._settings(sums_a, sums_b)
 
+    @functools.cached_property
+    def _prior(self) -> dict[PairIntensityVector, float]:
+        return pair_intensity_prior(self)  # built once per config; callers get copies
+
     def _settings(self, sums_a: set[float], sums_b: set[float]) -> list[PairIntensityVector]:
         """Pair sums in sorted order with nonzero prior, vacuum-vacuum excluded."""
-        prior = pair_intensity_prior(self)
+        prior = self._prior
         vectors = [PairIntensityVector(a, b) for a in sorted(sums_a) for b in sorted(sums_b)]
         return [vec for vec in vectors if vec != (0.0, 0.0) and prior.get(vec, 0.0) > 0.0]
 
@@ -314,6 +319,7 @@ class DecoyBounds:
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+_THREAD = threading.local()  # .highs: the thread's HiGHS instance, made at its first LP
 
 
 def _import_highs_core() -> ModuleType:
@@ -357,7 +363,8 @@ def load_highs() -> tuple[ModuleType, object]:
     ``import mpqkd``, ``run`` and ``optimize`` load numpy only and no decoy
     LP loads ``scipy.optimize``.  HiGHS gets the binary ``linprog`` uses.
     The core is a private module: a scipy without it raises ImportError
-    here, which ``verify_oracles`` calls before its first point.
+    here, which ``verify_oracles`` calls before its first point.  The
+    options go to each thread's HiGHS instance once (:func:`linprog`).
     """
     try:
         core = _import_highs_core()
@@ -375,84 +382,49 @@ def load_highs() -> tuple[ModuleType, object]:
     return core, options
 
 
-def linprog(lp: object, column: int) -> float:
-    """Solve ``lp`` (a ``HighsLp``) on a fresh HiGHS instance and return the
-    optimal value of ``column``.
+def linprog(model: tuple[np.ndarray, ...], column: int) -> float:
+    """Optimal value of ``column`` of ``model``, minimized on the thread's HiGHS instance.
 
-    HiGHS's dual simplex needs no presolve on LPs of at most 8 rows.  A run
-    that ends neither optimal nor infeasible is run once more from scratch
-    with presolve: 36 of 10,080 scenarios on a grid over arm length, gap,
-    mu, nu / mu and p_d needed it, all with mu_a == mu_b at equal arms.
-
+    ``model`` holds the arrays of HiGHS's array ``passModel`` in its order:
+    cost, column bounds, row bounds and the column-wise matrix (start and
+    index as int32, value).  A new model clears the last one's basis and
+    solution, so each LP solves as on a fresh instance.  HiGHS's dual
+    simplex needs no presolve on these LPs of at most 8 rows; a run ending
+    neither optimal nor infeasible reruns from scratch with presolve, then
+    off again (36 of 10,080 grid scenarios, all mu_a == mu_b at equal arms).
     Raises :class:`ObservablesInconsistentError` when HiGHS finds the LP
     infeasible, and RuntimeError on any other outcome that is not optimal,
     including options or a model that HiGHS rejects.
     """
     core, options = load_highs()
-    highs = core._Highs()
-    error = core.HighsStatus.kError
-    if highs.passOptions(options) == error or highs.passModel(lp) == error:
+    n, rows, nnz = len(model[0]), len(model[3]), len(model[7])
+    if [len(array) for array in model] != [n, n, n, rows, rows, n + 1, nnz, nnz]:
+        raise ValueError("decoy LP arrays disagree in length")  # HiGHS reads them unchecked
+    error, highs = core.HighsStatus.kError, getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = core._Highs()
+        if highs.passOptions(options) == error:
+            raise RuntimeError("decoy LP failed: HiGHS rejected the options or the model")
+        _THREAD.highs = highs
+    shape = (n, rows, nnz, int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0)
+    # HiGHS rejects an empty integrality array; zeros make every column continuous
+    if highs.passModel(*shape, *model, np.zeros(n, np.int32)) == error:
         raise RuntimeError("decoy LP failed: HiGHS rejected the options or the model")
     highs.run()
     status = highs.getModelStatus()
     if status not in (core.HighsModelStatus.kOptimal, core.HighsModelStatus.kInfeasible):
         highs.clearSolver()
         highs.setOptionValue("presolve", "on")
-        highs.run()
-        status = highs.getModelStatus()
+        try:
+            highs.run()
+            status = highs.getModelStatus()
+        finally:
+            highs.setOptionValue("presolve", "off")
     if status == core.HighsModelStatus.kInfeasible:
         raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
     if status != core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"decoy LP failed: {highs.modelStatusToString(status)}")
     return highs.getSolution().col_value[column]
-
-
-def _class_11_extreme(
-    weights: np.ndarray, tails: np.ndarray, observed: np.ndarray, sign: float
-) -> float:
-    """Min (``sign`` 1) or max (-1) of the (1, 1) class's yield over the
-    yields y_k in [0, 1] whose rows sum_k w_sk y_k, plus the classes off the
-    grid, equal the observables O_s to a relative tolerance.
-
-    Row s is multiplied by c_s = min(1 / O_s, 1e12), so its bounds sit near
-    1.  No term of a row is negative, so each row caps each yield: column k
-    holds y_k / u_k, u_k = min(1, min_s O_s (1 + tol) / w_sk), and no entry
-    exceeds its row's upper bound.  Entries at or below 1e-9, which HiGHS
-    would drop, leave the matrix; the row's lower bound gives them up (each
-    column is at most 1) with c_s times the mass off the grid, so the LP
-    stays a relaxation that HiGHS solves as written.
-    """
-    n = weights.shape[1]
-    with np.errstate(divide="ignore"):  # a zero observable gets the cap
-        scale = np.minimum(1.0 / observed, _MAX_ROW_SCALE)
-    upper = scale * observed * (1.0 + _EQUALITY_TOL)
-    scaled = weights * scale[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        caps = np.where(scaled > 0.0, upper[:, None] / scaled, np.inf)
-    ceiling = np.minimum(caps.min(axis=0), 1.0)
-    entries = scaled * ceiling
-    kept = entries > _MIN_ENTRY
-    unseen = scale * tails + np.where(kept, 0.0, entries).sum(axis=1)
-    k, setting = np.nonzero(kept.T)  # column-wise: by class, then by setting
-    cost = np.zeros(n)
-    cost[_CLASS_11] = sign
-
-    core, _ = load_highs()
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(observed)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # The matrix fields copy element by element; from a list that is twice
-    # as fast as from an array, and HiGHS gets the same numbers.
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(kept.sum(axis=0))]).tolist()
-    lp.a_matrix_.index_ = setting.tolist()
-    lp.a_matrix_.value_ = entries[setting, k].tolist()
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.ones(n)
-    lp.row_lower_ = scale * observed * (1.0 - _EQUALITY_TOL) - unseen
-    lp.row_upper_ = upper
-    lp.col_cost_ = cost
-    return min(max(linprog(lp, _CLASS_11) * float(ceiling[_CLASS_11]), 0.0), 1.0)
 
 
 def _solve_basis_lp(
@@ -464,13 +436,23 @@ def _solve_basis_lp(
     with the observables; (0, 1) when no setting was observed.
 
     Two LPs over the truncated photon-class grid share one Poisson weight
-    matrix: the yields m_k against the total observables, and the error
-    yields e_k against the error observables (:func:`_class_11_extreme`).
-    The true yields satisfy e_k <= m_k, but dropping that coupling relaxes
-    both LPs, which can only lower the min and raise the max, so both
-    results stay valid bounds.  The closed-form MDI-QKD bounds also
-    estimate the yield and the error yield apart (Xu, Curty, Qi, Lo, New J.
-    Phys. 15, 113007 (2013)).
+    matrix w_sk and are built in one pass over both observables O_s: the
+    min of the (1, 1) class's yield m_k against the totals, and the max of
+    its error yield e_k against the errors, each over yields y_k in [0, 1]
+    whose rows sum_k w_sk y_k, plus the classes off the grid, equal O_s to
+    a relative tolerance.  The true yields satisfy e_k <= m_k, but dropping
+    that coupling relaxes both LPs, which can only lower the min and raise
+    the max, so both results stay valid bounds.  The closed-form MDI-QKD
+    bounds also estimate the yield and the error yield apart (Xu, Curty,
+    Qi, Lo, New J. Phys. 15, 113007 (2013)).
+
+    Row s is multiplied by c_s = min(1 / O_s, 1e12), so its bounds sit near
+    1.  No term of a row is negative, so each row caps each yield: column k
+    holds y_k / u_k, u_k = min(1, min_s O_s (1 + tol) / w_sk), and no entry
+    exceeds its row's upper bound.  Entries at or below 1e-9, which HiGHS
+    would drop, leave the matrix; the row's lower bound gives them up (each
+    column is at most 1) with c_s times the mass off the grid, so the LP
+    stays a relaxation that HiGHS solves as written.
 
     The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
     per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
@@ -490,11 +472,29 @@ def _solve_basis_lp(
     means = {mean for vec in settings for mean in vec}
     off_grid = {m: math.fsum(math.exp(-m) * m**k / _FACTORIALS[k] for k in beyond) for m in means}
     tails = np.array([off_grid[vec.sum_a] + off_grid[vec.sum_b] for vec in settings])
-    m_lower, e_upper = (
-        _class_11_extreme(weights, tails, np.array([observed[vec] for vec in settings]), sign)
-        for observed, sign in ((totals, 1.0), (errors, -1.0))
-    )
-    return m_lower, e_upper
+    observed = np.array([[totals[vec] for vec in settings], [errors[vec] for vec in settings]])
+    with np.errstate(divide="ignore"):  # a zero observable gets the cap
+        scale = np.minimum(1.0 / observed, _MAX_ROW_SCALE)
+    upper = scale * observed * (1.0 + _EQUALITY_TOL)
+    scaled = weights * scale[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        caps = np.where(scaled > 0.0, upper[:, :, None] / scaled, np.inf)
+    ceiling = np.minimum(caps.min(axis=1), 1.0)
+    entries = scaled * ceiling[:, None, :]
+    kept = entries > _MIN_ENTRY
+    unseen = scale * tails + np.where(kept, 0.0, entries).sum(axis=2)
+    lower = scale * observed * (1.0 - _EQUALITY_TOL) - unseen
+    n = weights.shape[1]
+    start = np.zeros((2, n + 1), np.int32)
+    np.cumsum(kept.sum(axis=1), axis=1, out=start[:, 1:])
+    cost = np.where(np.arange(n) == _CLASS_11, [[1.0], [-1.0]], 0.0)  # min m_11, max e_11
+    extremes = []
+    for lp in range(2):
+        k, setting = np.nonzero(kept[lp].T)  # column-wise: by class, then by setting
+        rows = (lower[lp], upper[lp], start[lp], setting.astype(np.int32), entries[lp, setting, k])
+        value = linprog((cost[lp], np.zeros(n), np.ones(n), *rows), _CLASS_11)
+        extremes.append(min(max(value * float(ceiling[lp, _CLASS_11]), 0.0), 1.0))
+    return extremes[0], extremes[1]
 
 
 def bound_single_photon(observables: DecoyObservables, config: DecoyConfig) -> DecoyBounds:

@@ -1,4 +1,5 @@
 """Tests for decoy-state observables, bounds and the decoy key rate."""
+import contextlib
 import functools
 import itertools
 import math
@@ -50,6 +51,10 @@ OBSERVABLES = ("z_total", "z_error", "x_total", "x_error")
 
 def reference_scenario(params=None):
     return make_scenario(100.0, 150.0, 0.2402, 0.7594, 1e6, params, nu_a=0.05, nu_b=0.05)
+
+
+# Its X error LP, the last of its four, ends "Unknown" without presolve.
+RETRIED_SCENARIO = make_scenario(20.0, 20.0, 0.5, 0.5, 1e6, nu_a=0.5 * 5e-4, nu_b=0.5 * 5e-4)
 
 
 def fold_observables(scenario, config):
@@ -206,30 +211,82 @@ def lp_fields(lp):
 
 
 def decoy_lp_inputs(settings, totals, errors):
-    """Each solve of _solve_basis_lp, as a dict: the ``lp`` and ``column``
+    """Each solve of _solve_basis_lp, as a dict: the ``model`` and ``column``
     given to linprog, the ``fields`` of the model and the ``options`` values
-    that HiGHS received."""
+    that HiGHS held, both read back from the thread's instance after the
+    solve."""
     solves = []
     real = mpqkd.decoy.linprog
 
-    class RecordingHighs(_core._Highs):
-        def passOptions(self, options):
-            solves[-1]["options"] = option_values(options)
-            return super().passOptions(options)
+    def recording_linprog(model, column):
+        value = real(model, column)
+        highs = mpqkd.decoy._THREAD.highs
+        fields, options = lp_fields(highs.getLp()), option_values(highs.getOptions())
+        solves.append({"model": model, "column": column, "fields": fields, "options": options})
+        return value
 
-        def passModel(self, lp):
-            solves[-1]["fields"] = lp_fields(lp)
-            return super().passModel(lp)
-
-    def recording_linprog(lp, column):
-        solves.append({"lp": lp, "column": column})
-        return real(lp, column)
-
-    with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog), mock.patch.object(
-        _core, "_Highs", RecordingHighs
-    ):
+    with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog):
         mpqkd.decoy._solve_basis_lp(settings, totals, errors)
     return solves
+
+
+@contextlib.contextmanager
+def fresh_highs(highs_class=None, options=None):
+    """Decoy LPs on a new HiGHS instance per thread, of ``highs_class`` and
+    with ``options`` when given."""
+    core, _ = mpqkd.decoy.load_highs()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(mpqkd.decoy, "_THREAD", threading.local()))
+        if highs_class is not None:
+            stack.enter_context(mock.patch.object(_core, "_Highs", highs_class))
+        if options is not None:
+            loaded = (core, options)
+            stack.enter_context(mock.patch.object(mpqkd.decoy, "load_highs", return_value=loaded))
+        yield
+
+
+def fresh_instance_linprog(model, column):
+    """Reference solve: :func:`mpqkd.decoy.linprog` before instance reuse.
+    A fresh HiGHS instance per LP gets the options and a ``HighsLp`` filled
+    field by field, with the same presolve retry."""
+    core, options = mpqkd.decoy.load_highs()
+    cost, col_lower, col_upper, row_lower, row_upper, start, index, value = model
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = value.tolist()
+    lp.col_lower_, lp.col_upper_, lp.col_cost_ = col_lower, col_upper, cost
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    highs = core._Highs()
+    error = core.HighsStatus.kError
+    if highs.passOptions(options) == error or highs.passModel(lp) == error:
+        raise RuntimeError("decoy LP failed: HiGHS rejected the options or the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in (core.HighsModelStatus.kOptimal, core.HighsModelStatus.kInfeasible):
+        highs.clearSolver()
+        highs.setOptionValue("presolve", "on")
+        highs.run()
+        status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kInfeasible:
+        raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
+    if status != core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"decoy LP failed: {highs.modelStatusToString(status)}")
+    return highs.getSolution().col_value[column]
+
+
+def fresh_instance_bounds(observables, config):
+    """:func:`bound_single_photon` with every LP on a fresh HiGHS instance."""
+    with mock.patch.object(mpqkd.decoy, "linprog", fresh_instance_linprog):
+        return bound_single_photon(observables, config)
+
+
+def scenario_bounds(scenario):
+    config = decoy_config_for(scenario)
+    return bound_single_photon(expected_observables(scenario, config), config)
 
 
 def assert_same_bits(new, old, name):
@@ -320,6 +377,23 @@ class TestPrior:
             s_nu = rng.uniform(0.0, 1.0 - s_mu)
             cfg = DecoyConfig(0.6, 0.4, 0.11, 0.07, 1.0 - s_mu - s_nu, s_nu, s_mu)
             assert sum(pair_intensity_prior(cfg).values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_built_once_per_config(self):
+        # a scenario's forward model and bound read one prior of its config;
+        # callers still get fresh objects with the same contents
+        configs = [decoy_config_for(reference_scenario()), decoy_config_for(RETRIED_SCENARIO)]
+        real = mpqkd.decoy.pair_intensity_prior
+        with mock.patch.object(mpqkd.decoy, "pair_intensity_prior", side_effect=real) as built:
+            for cfg, sc in zip(configs, (reference_scenario(), RETRIED_SCENARIO)):
+                bound_single_photon(expected_observables(sc, cfg), cfg)
+                bound_single_photon(expected_observables(sc, cfg), cfg)
+        assert [call.args for call in built.call_args_list] == [(cfg,) for cfg in configs]
+        cfg = configs[0]
+        assert pair_intensity_prior(cfg) == real(replace(cfg))
+        assert pair_intensity_prior(cfg) is not pair_intensity_prior(cfg)
+        for settings_of in (DecoyConfig.z_settings, DecoyConfig.x_settings):
+            assert settings_of(cfg) == settings_of(replace(cfg))
+            assert settings_of(cfg) is not settings_of(cfg)
 
 
 class TestPoissonPair:
@@ -780,9 +854,9 @@ class TestLinearProgram:
                         assert fields["row_upper_"].max() <= 1.0 + 1e-9
 
     def test_one_model_without_scalar_weights(self):
-        # each solve hands HiGHS one HighsLp of its own, built from the
-        # weight arrays: the totals' LP and the errors' LP scale their rows
-        # by different observables
+        # each solve hands HiGHS a model of its own, as arrays built from
+        # the weight arrays: the totals' LP and the errors' LP scale their
+        # rows by different observables
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
@@ -790,7 +864,9 @@ class TestLinearProgram:
             mpqkd.decoy, "poisson_pair_prob", side_effect=AssertionError("scalar weight")
         ):
             first, second = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)
-        assert isinstance(first["lp"], _core.HighsLp) and first["lp"] is not second["lp"]
+        for solve in (first, second):
+            dtypes = [array.dtype for array in solve["model"]]
+            assert dtypes == [np.float64] * 5 + [np.int32] * 2 + [np.float64]
         assert first["column"] == second["column"] == ORACLE_CUTOFF + 2
         assert not np.array_equal(first["fields"]["value_"], second["fields"]["value_"])
 
@@ -835,11 +911,11 @@ class TestLinearProgram:
         p_d=st.sampled_from(DARK_COUNT_RATES),
     )
     def test_highs_gets_the_reference_model(self, distance_a, gap, mu_a, mu_b, nu_frac, s_nu, p_d):
-        # HiGHS receives the reference models, one ranged row per setting in
+        # HiGHS holds the reference models, one ranged row per setting in
         # each, and the options that scipy's linprog hands its HiGHS
         # wrapper, with presolve off: the float vectors bit for bit and in
         # the same dtype, the CSC index arrays (which HiGHS stores in its own
-        # integer type) value for value
+        # integer type) value for value, and every column continuous
         sc = make_scenario(
             distance_a,
             distance_a + gap,
@@ -878,7 +954,8 @@ class TestLinearProgram:
                     kind = fields[name].dtype.kind if fields[name].size else "i"
                     assert kind == old.dtype.kind == "i", name
                     assert np.array_equal(fields[name], old), name
-                assert fields["integrality_"].size == 0
+                continuous = [_core.HighsVarType.kContinuous] * matrix.shape[1]
+                assert fields["integrality_"].tolist() == continuous
                 assert fields["shape"] == (*matrix.shape, *matrix.shape)
                 assert fields["format"] == _core.MatrixFormat.kColwise
                 assert solve["options"] == options
@@ -887,10 +964,9 @@ class TestLinearProgram:
         sc = reference_scenario()
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
-        core, options = mpqkd.decoy.load_highs()
-        limited = copy_options(options)
+        limited = copy_options(mpqkd.decoy.load_highs()[1])
         limited.simplex_iteration_limit = 0
-        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, limited)):
+        with fresh_highs(options=limited):
             with pytest.raises(RuntimeError, match="decoy LP failed: Iteration limit reached"):
                 mpqkd.decoy._solve_basis_lp(cfg.z_settings(), obs.z_total, obs.z_error)
 
@@ -901,11 +977,10 @@ class TestLinearProgram:
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
         solve = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)[0]
-        core, options = mpqkd.decoy.load_highs()
-        presolved = copy_options(options)
+        presolved = copy_options(mpqkd.decoy.load_highs()[1])
         presolved.presolve = "on"
-        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, presolved)):
-            expected = mpqkd.decoy.linprog(solve["lp"], solve["column"])
+        with fresh_highs(options=presolved):
+            expected = mpqkd.decoy.linprog(solve["model"], solve["column"])
         runs = []
 
         class UnknownOnceHighs(_core._Highs):
@@ -918,15 +993,13 @@ class TestLinearProgram:
                     return _core.HighsModelStatus.kUnknown
                 return super().getModelStatus()
 
-        with mock.patch.object(_core, "_Highs", UnknownOnceHighs):
-            assert mpqkd.decoy.linprog(solve["lp"], solve["column"]) == expected
+        with fresh_highs(UnknownOnceHighs):
+            assert mpqkd.decoy.linprog(solve["model"], solve["column"]) == expected
         assert runs == ["off", "on"]
 
     def test_unknown_lp_is_solved_again_with_presolve(self):
         # a real LP, not a mocked status: at this symmetric scenario the last
         # of the four LPs, the X error one, runs without presolve, then with it
-        sc = make_scenario(20.0, 20.0, 0.5, 0.5, 1e6, nu_a=0.5 * 5e-4, nu_b=0.5 * 5e-4)
-        cfg = decoy_config_for(sc)
         runs = []
 
         class RecordingHighs(_core._Highs):
@@ -934,9 +1007,119 @@ class TestLinearProgram:
                 runs.append(self.getOptionValue("presolve")[1])
                 return super().run()
 
-        with mock.patch.object(_core, "_Highs", RecordingHighs):
-            bound_single_photon(expected_observables(sc, cfg), cfg)
+        with fresh_highs(RecordingHighs):
+            scenario_bounds(RETRIED_SCENARIO)
         assert runs == ["off", "off", "off", "off", "on"]
+
+    def test_retry_leaves_presolve_off(self):
+        # after the real retry above, the next bound's LPs run without
+        # presolve again and give what fresh instances give
+        sc = reference_scenario()
+        runs = []
+
+        class RecordingHighs(_core._Highs):
+            def run(self):
+                runs.append(self.getOptionValue("presolve")[1])
+                return super().run()
+
+        with fresh_highs(RecordingHighs):
+            scenario_bounds(RETRIED_SCENARIO)
+            after = scenario_bounds(sc)
+        assert runs == ["off"] * 4 + ["on"] + ["off"] * 4
+        cfg = decoy_config_for(sc)
+        assert after == fresh_instance_bounds(expected_observables(sc, cfg), cfg)
+
+    def test_failed_retry_leaves_presolve_off(self):
+        # a retry that raises still turns presolve off for the next LP
+        sc = reference_scenario()
+
+        class FailingRetryHighs(_core._Highs):
+            def run(self):
+                if self.getOptionValue("presolve")[1] == "on":
+                    raise RuntimeError("injected retry failure")
+                return super().run()
+
+        with fresh_highs(FailingRetryHighs):
+            with pytest.raises(RuntimeError, match="injected retry failure"):
+                scenario_bounds(RETRIED_SCENARIO)
+            assert mpqkd.decoy._THREAD.highs.getOptionValue("presolve")[1] == "off"
+            after = scenario_bounds(sc)
+        cfg = decoy_config_for(sc)
+        assert after == fresh_instance_bounds(expected_observables(sc, cfg), cfg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        distance_a=st.floats(40.0, 120.0),
+        gap=st.floats(0.0, 60.0),
+        mu_a=st.floats(0.2, 0.9),
+        mu_b=st.floats(0.2, 0.9),
+        nu_frac=st.sampled_from((0.0005, 0.01, 0.35)),
+        p_d=st.sampled_from(DARK_COUNT_RATES),
+    )
+    # the scenario whose last LP is retried, and the reference scenario
+    @example(distance_a=20.0, gap=0.0, mu_a=0.5, mu_b=0.5, nu_frac=5e-4, p_d=1.2e-8)
+    @example(distance_a=100.0, gap=50.0, mu_a=0.2402, mu_b=0.7594, nu_frac=0.2, p_d=1.2e-8)
+    def test_reused_instance_equals_fresh(self, distance_a, gap, mu_a, mu_b, nu_frac, p_d):
+        # every LP on the thread's one instance, after whatever LPs ran
+        # on it before, gives the bounds of a fresh instance per LP
+        sc = make_scenario(
+            distance_a,
+            distance_a + gap,
+            mu_a,
+            mu_b,
+            1e6,
+            SystemParams(p_d=p_d),
+            nu_a=mu_a * nu_frac,
+            nu_b=mu_b * nu_frac,
+        )
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        assert bound_single_photon(obs, cfg) == fresh_instance_bounds(obs, cfg)
+
+    def test_each_thread_solves_on_its_own_instance(self):
+        # two threads bound different scenarios at once: each makes one
+        # instance of its own and gets the serial bounds
+        scenarios = (reference_scenario(), RETRIED_SCENARIO)
+        serial = [scenario_bounds(sc) for sc in scenarios]
+        owners = []
+
+        class OwnedHighs(_core._Highs):
+            def __init__(self):
+                super().__init__()
+                owners.append(threading.current_thread().name)
+
+        start = threading.Barrier(2)
+        results = {}
+
+        def bound_three_times(k):
+            start.wait(timeout=60)
+            results[k] = [scenario_bounds(scenarios[k]) for _ in range(3)]
+
+        with fresh_highs(OwnedHighs):
+            threads = [
+                threading.Thread(target=bound_three_times, args=(k,), name=f"bound-{k}")
+                for k in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(owners) == ["bound-0", "bound-1"]
+        assert results == {k: [serial[k]] * 3 for k in range(2)}
+
+    @pytest.mark.parametrize("short", range(8))
+    def test_arrays_of_other_lengths_are_refused(self, short):
+        # HiGHS reads each array for the sizes the others give, past the
+        # end of a shorter one, so linprog refuses the model first
+        sc = reference_scenario()
+        cfg = decoy_config_for(sc)
+        obs = expected_observables(sc, cfg)
+        model = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)[0]["model"]
+        assert len(model) == 8
+        model = tuple(array[:-1] if k == short else array for k, array in enumerate(model))
+        with pytest.raises(ValueError, match="decoy LP arrays disagree in length"):
+            mpqkd.decoy.linprog(model, ORACLE_CUTOFF + 2)
 
     @pytest.mark.parametrize("rejected", ["options", "model"])
     def test_rejected_lp_is_a_failure(self, rejected):
@@ -946,15 +1129,16 @@ class TestLinearProgram:
         cfg = decoy_config_for(sc)
         obs = expected_observables(sc, cfg)
         solve = decoy_lp_inputs(cfg.z_settings(), obs.z_total, obs.z_error)[0]
-        lp, (core, options) = solve["lp"], mpqkd.decoy.load_highs()
+        model, options = solve["model"], copy_options(mpqkd.decoy.load_highs()[1])
         if rejected == "options":
-            options = copy_options(options)
             options.presolve = "sometimes"
         else:
-            lp.col_upper_ = solve["fields"]["col_upper_"][:-1]  # one column bound short
-        with mock.patch.object(mpqkd.decoy, "load_highs", return_value=(core, options)):
+            index = model[6].copy()
+            index[0] = len(model[3])  # a matrix entry in a row the model lacks
+            model = (*model[:6], index, model[7])
+        with fresh_highs(options=options):
             with pytest.raises(RuntimeError) as raised:
-                mpqkd.decoy.linprog(lp, solve["column"])
+                mpqkd.decoy.linprog(model, solve["column"])
         assert type(raised.value) is RuntimeError
         assert str(raised.value) == "decoy LP failed: HiGHS rejected the options or the model"
 
