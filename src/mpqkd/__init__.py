@@ -1,87 +1,13 @@
 """Asymmetric mode-pairing QKD: key-rate model, intensity optimization,
-decoy-state bounds, Monte Carlo protocol oracle and sweep tooling."""
+decoy-state bounds, Monte Carlo protocol oracle and sweep tooling.
 
-from .decoy import (
-    DecoyBounds,
-    DecoyConfig,
-    DecoyObservables,
-    ObservablesInconsistentError,
-    PairIntensityVector,
-    bound_single_photon,
-    decoy_config_for,
-    decoy_key_rate,
-    expected_observables,
-    pair_intensity_prior,
-    poisson_pair_prob,
-    posterior_intensity_given_photons,
-)
-from .model import (
-    KeyRateBreakdown,
-    ModelDegenerateError,
-    Scenario,
-    SystemParams,
-    binary_entropy,
-    key_rate,
-    key_rate_grid,
-    make_scenario,
-    pairing_rate,
-)
-from .montecarlo import (
-    EmpiricalStats,
-    Pairs,
-    Rounds,
-    estimate_statistics,
-    pair_clicks,
-    sift_and_map,
-    simulate_rounds,
-)
-from .optimize import (
-    OptimizationProblem,
-    OptimumReport,
-    closed_form_asymptotic,
-    optimize_intensities,
-    plob_bound,
-)
-from .sweep import ResultRow, SweepSpec, SweepValidationError, load_spec, run_sweep, verify_oracles
+The package exports what its modules export: each module's ``__all__``."""
 
-__all__ = [
-    "DecoyBounds",
-    "DecoyConfig",
-    "DecoyObservables",
-    "ObservablesInconsistentError",
-    "PairIntensityVector",
-    "bound_single_photon",
-    "decoy_config_for",
-    "decoy_key_rate",
-    "expected_observables",
-    "pair_intensity_prior",
-    "poisson_pair_prob",
-    "posterior_intensity_given_photons",
-    "KeyRateBreakdown",
-    "ModelDegenerateError",
-    "Scenario",
-    "SystemParams",
-    "binary_entropy",
-    "key_rate",
-    "key_rate_grid",
-    "make_scenario",
-    "pairing_rate",
-    "EmpiricalStats",
-    "Pairs",
-    "Rounds",
-    "estimate_statistics",
-    "pair_clicks",
-    "sift_and_map",
-    "simulate_rounds",
-    "OptimizationProblem",
-    "OptimumReport",
-    "closed_form_asymptotic",
-    "optimize_intensities",
-    "plob_bound",
-    "ResultRow",
-    "SweepSpec",
-    "SweepValidationError",
-    "load_spec",
-    "run_sweep",
-    "verify_oracles",
-]
+from . import decoy, model, montecarlo, optimize, sweep
+from .decoy import *
+from .model import *
+from .montecarlo import *
+from .optimize import *
+from .sweep import *
+
+__all__ = [*decoy.__all__, *model.__all__, *montecarlo.__all__, *optimize.__all__, *sweep.__all__]

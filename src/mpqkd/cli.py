@@ -19,14 +19,7 @@ from dataclasses import replace
 
 from .model import SystemParams, parse_pairing_interval
 from .optimize import OptimizationProblem, optimize_intensities
-from .sweep import (
-    CSV_COLUMNS,
-    SweepValidationError,
-    format_row,
-    load_spec,
-    run_sweep,
-    verify_oracles,
-)
+from .sweep import SweepValidationError, load_spec, run_sweep, verify_oracles, write_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,9 +62,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if spec.out:
         print(f"wrote {len(rows)} rows to {spec.out}")
     else:
-        print(",".join(CSV_COLUMNS))
-        for row in rows:
-            print(format_row(row))
+        write_csv(rows, sys.stdout)
     return 0
 
 

@@ -18,9 +18,10 @@ import math
 import numbers
 import os
 import sys
+from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
 from .decoy import (
     bound_single_photon,
@@ -50,7 +51,7 @@ __all__ = [
     "oi_problem",
     "af_problem",
     "run_sweep",
-    "format_row",
+    "write_csv",
     "write_rows",
     "verify_oracles",
     "CSV_COLUMNS",
@@ -178,11 +179,20 @@ class SweepSpec:
             raise SweepValidationError("; ".join(problems))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict; a key given twice is an error, not a last value."""
+    counts = Counter(key for key, _ in pairs)
+    repeated = sorted(key for key, count in counts.items() if count > 1)
+    if repeated:
+        raise SweepValidationError(f"duplicate keys: {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def load_spec(source: str | dict[str, Any]) -> SweepSpec:
-    """Parse a spec from a JSON file path or a dict; unknown keys rejected."""
+    """Parse a spec from a JSON file path or a dict; unknown or repeated keys rejected."""
     if isinstance(source, str):
         with open(source) as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     else:
         data = dict(source)
     if not isinstance(data, dict):
@@ -424,18 +434,19 @@ def _format(value: Any) -> str:
     return f"{value:.10g}"
 
 
-def format_row(row: ResultRow) -> str:
-    """One CSV line for a result row, in the fixed column order."""
-    return ",".join(_format(value) for value in astuple(row))
+def write_csv(rows: Iterable[ResultRow], handle: TextIO) -> None:
+    """Fixed-header CSV emission with 10-significant-digit decimals to an
+    open text handle: one line per row, in the fixed column order."""
+    handle.write(",".join(CSV_COLUMNS) + "\n")
+    for row in rows:
+        handle.write(",".join(_format(value) for value in astuple(row)) + "\n")
 
 
 def write_rows(rows: Iterable[ResultRow], path: str) -> None:
-    """Fixed-header CSV emission with 10-significant-digit decimals."""
+    """The CSV of ``write_csv``, written to a file."""
     try:
         with open(path, "w", newline="") as handle:
-            handle.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                handle.write(format_row(row) + "\n")
+            write_csv(rows, handle)
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
 

@@ -1,6 +1,8 @@
 """What each entry point loads, each probe in a fresh interpreter (this one
 has scipy loaded already).
 
+``from mpqkd import *`` binds exactly ``mpqkd.__all__`` and loads no scipy.
+
 scipy's HiGHS core loads with the first decoy LP, straight from its
 extension file: no LP loads ``scipy.optimize``, yet scipy's own ``linprog``
 and ``mpqkd.decoy.load_highs`` share one core in either load order.  The
@@ -24,8 +26,14 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-import mpqkd
-report = {"import": scipy_modules(), "futures": ["concurrent.futures" in sys.modules]}
+star = {}
+exec("from mpqkd import *", star)
+report = {
+    "star": sorted(set(star) - {"__builtins__"}),
+    "import": scipy_modules(),
+    "import_pool": "multiprocessing" in sys.modules,
+    "futures": ["concurrent.futures" in sys.modules],
+}
 from mpqkd.cli import main
 report["run_code"] = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
 report["run"] = scipy_modules()
@@ -158,7 +166,8 @@ def test_scipy_loads_only_where_an_lp_is_solved(tmp_path):
     report = run_probe(
         _ENTRY_POINTS, run_config, tmp_path / "rows.csv", verify_config, cwd=tmp_path
     )
-    assert report["import"] == []
+    assert report["star"] == sorted(mpqkd.__all__)
+    assert (report["import"], report["import_pool"]) == ([], False)
     assert (report["run_code"], report["run"], report["run_pool"]) == (0, [], False)
     assert (report["optimize_code"], report["optimize"]) == (0, [])
     assert report["optimize_pool"] is False

@@ -98,8 +98,13 @@ class TestParamsAndTypes:
             assert hash(params) == hash(dataclasses.astuple(params))
 
     def test_package_exports_resolve(self):
-        for name in mpqkd.__all__:
-            assert getattr(mpqkd, name) is not None, name
+        # the package exports each module's __all__, in module order, once
+        modules = (mpqkd.decoy, mpqkd.model, mpqkd.montecarlo, mpqkd.optimize, mpqkd.sweep)
+        assert mpqkd.__all__ == [name for module in modules for name in module.__all__]
+        assert len(set(mpqkd.__all__)) == len(mpqkd.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(mpqkd, name) is getattr(module, name), name
 
     def test_scenario_rejects_bad_transmittance(self):
         for eta in (0.0, -0.01, 0.3):  # 0.3 exceeds the default eta_d = 0.2

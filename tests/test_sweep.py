@@ -218,6 +218,10 @@ class TestSpecParsing:
         path.write_text(json.dumps([CUSTOM_BASE]))
         with pytest.raises(SweepValidationError, match="spec document must be a JSON object"):
             load_spec(str(path))
+        # json keeps a repeated key's last value; a strict spec names them all
+        path.write_text('{"mode": "fig4", "mode": "table2", "seed": 1, "seed": 9}')
+        with pytest.raises(SweepValidationError, match=r"^duplicate keys: mode, seed$"):
+            load_spec(str(path))
 
 
 class TestProblems:
@@ -559,15 +563,23 @@ class TestCli:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(CUSTOM_BASE))
         assert main(["run", "--config", str(config)]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        printed = capsys.readouterr().out
+        lines = printed.splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+        # the same bytes as the file that --out writes
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({**CUSTOM_BASE, "oops": True}))
         assert main(["run", "--config", str(config)]) == 1
         assert "unknown keys" in capsys.readouterr().err
+        config.write_text('{"mode": "table2", "seed": 1, "seed": 9}')
+        assert main(["run", "--config", str(config)]) == 1
+        assert "validation error: duplicate keys: seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override, message",
