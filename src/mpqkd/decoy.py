@@ -122,35 +122,30 @@ class DecoyConfig:
             raise ValueError(f"selection probabilities must sum to 1, got {sum(probs)}")
 
     def levels(self, party: str) -> tuple[float, float, float]:
-        if party == "a":
-            return (0.0, self.nu_a, self.mu_a)
-        if party == "b":
-            return (0.0, self.nu_b, self.mu_b)
-        raise ValueError(f"party must be 'a' or 'b', got {party!r}")
+        return (0.0, self.nu_a, self.mu_a) if party == "a" else (0.0, self.nu_b, self.mu_b)
 
     def signal_vector(self) -> PairIntensityVector:
         return PairIntensityVector(self.mu_a, self.mu_b)
 
     def z_settings(self) -> list[PairIntensityVector]:
         """Z-compatible pair sums with nonzero prior, vacuum-vacuum excluded."""
-        return self._settings(set(self.levels("a")), set(self.levels("b")))
+        return self._settings(1.0)
 
     def x_settings(self) -> list[PairIntensityVector]:
         """X-compatible pair sums: each party uses the same intensity in both
         rounds (vacuum included, mirroring the Z construction), not all four
         rounds vacuum."""
-        sums_a, sums_b = ({2.0 * level for level in self.levels(party)} for party in "ab")
-        return self._settings(sums_a, sums_b)
+        return self._settings(2.0)
 
-    @functools.cached_property
-    def _prior(self) -> dict[PairIntensityVector, float]:
-        return pair_intensity_prior(self)  # built once per config; callers get copies
-
-    def _settings(self, sums_a: set[float], sums_b: set[float]) -> list[PairIntensityVector]:
-        """Pair sums in sorted order with nonzero prior, vacuum-vacuum excluded."""
-        prior = self._prior
-        vectors = [PairIntensityVector(a, b) for a in sorted(sums_a) for b in sorted(sums_b)]
-        return [vec for vec in vectors if vec != (0.0, 0.0) and prior.get(vec, 0.0) > 0.0]
+    def _settings(self, factor: float) -> list[PairIntensityVector]:
+        """Each party's levels times ``factor``, paired in sorted order where
+        their :func:`pair_intensity_prior` entry is positive, vacuum-vacuum
+        excluded: the entry is the product of the parties' sum priors."""
+        probs = (self.s_0, self.s_nu, self.s_mu)
+        sums_a, sums_b = (sorted({factor * level for level in self.levels(p)}) for p in "ab")
+        prior_a, prior_b = (_party_sum_prior(self.levels(p), probs) for p in "ab")
+        vectors = (PairIntensityVector(a, b) for a in sums_a for b in sums_b)
+        return [v for v in vectors if v != (0.0, 0.0) and prior_a[v.sum_a] * prior_b[v.sum_b] > 0.0]
 
 
 def decoy_config_for(scenario: Scenario, s_nu: float = 1e-3) -> DecoyConfig:
@@ -297,7 +292,7 @@ def expected_observables(scenario: Scenario, config: DecoyConfig) -> DecoyObserv
         h = (eta_a * vec.sum_a + eta_b * vec.sum_b) / 2.0
         s = -math.expm1(-h)
         g = 2.0 * p_d * math.exp(-h)
-        x_total[vec] = click_prob_given_mean(h, p_d) ** 2
+        x_total[vec] = (s + g) ** 2  # Q(h) = s + g
         x_error[vec] = e_d * s * s + g * (s + g / 2.0)
     return DecoyObservables(z_total, z_error, x_total, x_error)
 
@@ -364,7 +359,8 @@ def load_highs() -> tuple[ModuleType, object]:
     LP loads ``scipy.optimize``.  HiGHS gets the binary ``linprog`` uses.
     The core is a private module: a scipy without it raises ImportError
     here, which ``verify_oracles`` calls before its first point.  The
-    options go to each thread's HiGHS instance once (:func:`linprog`).
+    options go to each thread's HiGHS instance once (:func:`linprog`, which
+    reads each optimum with ``_Highs.getObjectiveValue``).
     """
     try:
         core = _import_highs_core()
@@ -382,8 +378,8 @@ def load_highs() -> tuple[ModuleType, object]:
     return core, options
 
 
-def linprog(model: tuple[np.ndarray, ...], column: int) -> float:
-    """Optimal value of ``column`` of ``model``, minimized on the thread's HiGHS instance.
+def linprog(model: tuple[np.ndarray, ...]) -> float:
+    """Minimal objective value of ``model``, solved on the thread's HiGHS instance.
 
     ``model`` holds the arrays of HiGHS's array ``passModel`` in its order:
     cost, column bounds, row bounds and the column-wise matrix (start and
@@ -424,7 +420,7 @@ def linprog(model: tuple[np.ndarray, ...], column: int) -> float:
         raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
     if status != core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"decoy LP failed: {highs.modelStatusToString(status)}")
-    return highs.getSolution().col_value[column]
+    return highs.getObjectiveValue()
 
 
 def _solve_basis_lp(
@@ -454,24 +450,26 @@ def _solve_basis_lp(
     column is at most 1) with c_s times the mass off the grid, so the LP
     stays a relaxation that HiGHS solves as written.
 
-    The weights are bit-for-bit those of :func:`poisson_pair_prob`.  The
-    per-party powers stay Python floats (``a ** k``): ``np.power`` differs in
-    the last bit in ~3% of them.
+    The weights are bit-for-bit those of :func:`poisson_pair_prob`.  Each
+    distinct mean m gets one row of powers m ** k up to k = 2 _K_MAX, Python
+    floats (``np.power`` differs in the last bit in ~3% of them): the grid
+    takes the first _K_MAX + 1, the rest sum m's Poisson mass beyond it term
+    by term (1 - the grid's mass would leave ~1e-16 that c_s scales by up to
+    1e12).  The max LP minimizes -e_11, so its objective flips sign.
     """
     if not settings:
         return 0.0, 1.0
-    photons = range(_K_MAX + 1)
+    grid = _K_MAX + 1
+    poisson = {}  # mean -> (its powers on the grid, its Poisson mass beyond the grid)
+    for mean in {mean for vec in settings for mean in vec}:
+        powers = [mean**k for k in range(2 * _K_MAX + 1)]
+        tail = (math.exp(-mean) * power / f for power, f in zip(powers[grid:], _FACTORIALS[grid:]))
+        poisson[mean] = powers[:grid], math.fsum(tail)
     decay = np.array([math.exp(-vec.sum_a - vec.sum_b) for vec in settings])
-    powers_a = np.array([[vec.sum_a**k for k in photons] for vec in settings])
-    powers_b = np.array([[vec.sum_b**k for k in photons] for vec in settings])
+    powers_a, powers_b = (np.array([poisson[vec[p]][0] for vec in settings]) for p in (0, 1))
     weights = decay[:, None, None] * powers_a[:, :, None] * powers_b[:, None, :] / _FACTORIAL_PAIRS
     weights = weights.reshape(len(settings), -1)  # classes (k_a, k_b) in row-major order
-    # Each party's Poisson mass beyond the grid, summed term by term once per mean:
-    # 1 - the grid's mass would leave ~1e-16 of rounding, which c_s scales by up to 1e12.
-    beyond = range(_K_MAX + 1, 2 * _K_MAX + 1)
-    means = {mean for vec in settings for mean in vec}
-    off_grid = {m: math.fsum(math.exp(-m) * m**k / _FACTORIALS[k] for k in beyond) for m in means}
-    tails = np.array([off_grid[vec.sum_a] + off_grid[vec.sum_b] for vec in settings])
+    tails = np.array([poisson[vec.sum_a][1] + poisson[vec.sum_b][1] for vec in settings])
     observed = np.array([[totals[vec] for vec in settings], [errors[vec] for vec in settings]])
     with np.errstate(divide="ignore"):  # a zero observable gets the cap
         scale = np.minimum(1.0 / observed, _MAX_ROW_SCALE)
@@ -487,12 +485,13 @@ def _solve_basis_lp(
     n = weights.shape[1]
     start = np.zeros((2, n + 1), np.int32)
     np.cumsum(kept.sum(axis=1), axis=1, out=start[:, 1:])
-    cost = np.where(np.arange(n) == _CLASS_11, [[1.0], [-1.0]], 0.0)  # min m_11, max e_11
+    signs = (1.0, -1.0)  # min m_11, max e_11
+    cost = np.where(np.arange(n) == _CLASS_11, [[sign] for sign in signs], 0.0)
     extremes = []
-    for lp in range(2):
+    for lp, sign in enumerate(signs):
         k, setting = np.nonzero(kept[lp].T)  # column-wise: by class, then by setting
         rows = (lower[lp], upper[lp], start[lp], setting.astype(np.int32), entries[lp, setting, k])
-        value = linprog((cost[lp], np.zeros(n), np.ones(n), *rows), _CLASS_11)
+        value = sign * linprog((cost[lp], np.zeros(n), np.ones(n), *rows))
         extremes.append(min(max(value * float(ceiling[lp, _CLASS_11]), 0.0), 1.0))
     return extremes[0], extremes[1]
 

@@ -16,7 +16,7 @@ numpy's exp/expm1/log can differ from libm in the last bit and the scalar
 rates are what the optimizer, the CSV output and the Monte Carlo reference
 values are built from.
 
-An optimum takes ~180 scalar evaluations of ~25 floating-point operations
+An optimum takes ~210 scalar evaluations of ~25 floating-point operations
 each, so nearly all of an evaluation's ~5.5 us (CPython 3.11, 2-vCPU Xeon) is
 interpreter overhead.  To keep it small, the chain picks its namespace once
 and calls the unchecked kernels behind the public helpers, :class:`Scenario`

@@ -1,6 +1,7 @@
 """Tests for decoy-state observables, bounds and the decoy key rate."""
 import contextlib
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -211,18 +212,17 @@ def lp_fields(lp):
 
 
 def decoy_lp_inputs(settings, totals, errors):
-    """Each solve of _solve_basis_lp, as a dict: the ``model`` and ``column``
-    given to linprog, the ``fields`` of the model and the ``options`` values
-    that HiGHS held, both read back from the thread's instance after the
-    solve."""
+    """Each solve of _solve_basis_lp, as a dict: the ``model`` given to
+    linprog, the ``fields`` of the model and the ``options`` values that
+    HiGHS held, both read back from the thread's instance after the solve."""
     solves = []
     real = mpqkd.decoy.linprog
 
-    def recording_linprog(model, column):
-        value = real(model, column)
+    def recording_linprog(model):
+        value = real(model)
         highs = mpqkd.decoy._THREAD.highs
         fields, options = lp_fields(highs.getLp()), option_values(highs.getOptions())
-        solves.append({"model": model, "column": column, "fields": fields, "options": options})
+        solves.append({"model": model, "fields": fields, "options": options})
         return value
 
     with mock.patch.object(mpqkd.decoy, "linprog", recording_linprog):
@@ -245,10 +245,11 @@ def fresh_highs(highs_class=None, options=None):
         yield
 
 
-def fresh_instance_linprog(model, column):
+def fresh_instance_linprog(model):
     """Reference solve: :func:`mpqkd.decoy.linprog` before instance reuse.
     A fresh HiGHS instance per LP gets the options and a ``HighsLp`` filled
-    field by field, with the same presolve retry."""
+    field by field, with the same presolve retry.  The optimum is read from
+    the solution's one column with a nonzero cost, times that cost."""
     core, options = mpqkd.decoy.load_highs()
     cost, col_lower, col_upper, row_lower, row_upper, start, index, value = model
     lp = core.HighsLp()
@@ -275,7 +276,8 @@ def fresh_instance_linprog(model, column):
         raise ObservablesInconsistentError("no photon-class yields reproduce the observables")
     if status != core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"decoy LP failed: {highs.modelStatusToString(status)}")
-    return highs.getSolution().col_value[column]
+    (column,) = np.flatnonzero(cost)
+    return float(cost[column]) * highs.getSolution().col_value[column]
 
 
 def fresh_instance_bounds(observables, config):
@@ -378,22 +380,29 @@ class TestPrior:
             cfg = DecoyConfig(0.6, 0.4, 0.11, 0.07, 1.0 - s_mu - s_nu, s_nu, s_mu)
             assert sum(pair_intensity_prior(cfg).values()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_built_once_per_config(self):
-        # a scenario's forward model and bound read one prior of its config;
-        # callers still get fresh objects with the same contents
-        configs = [decoy_config_for(reference_scenario()), decoy_config_for(RETRIED_SCENARIO)]
-        real = mpqkd.decoy.pair_intensity_prior
-        with mock.patch.object(mpqkd.decoy, "pair_intensity_prior", side_effect=real) as built:
-            for cfg, sc in zip(configs, (reference_scenario(), RETRIED_SCENARIO)):
-                bound_single_photon(expected_observables(sc, cfg), cfg)
-                bound_single_photon(expected_observables(sc, cfg), cfg)
-        assert [call.args for call in built.call_args_list] == [(cfg,) for cfg in configs]
-        cfg = configs[0]
-        assert pair_intensity_prior(cfg) == real(replace(cfg))
-        assert pair_intensity_prior(cfg) is not pair_intensity_prior(cfg)
-        for settings_of in (DecoyConfig.z_settings, DecoyConfig.x_settings):
-            assert settings_of(cfg) == settings_of(replace(cfg))
-            assert settings_of(cfg) is not settings_of(cfg)
+    def test_settings_are_the_reachable_sorted_vectors(self):
+        # each basis's settings are the vectors of its summed levels (each
+        # level once for Z, twice for X) in sorted order, (0, 0) aside,
+        # whose prior is positive; s_nu = 0 leaves the decoy sums out, nu =
+        # 0 merges the decoy level into vacuum
+        rng = random.Random(34)
+        counts = set()
+        for _ in range(200):
+            mu_a, mu_b = rng.uniform(0.2, 0.9), rng.uniform(0.2, 0.9)
+            nu_a, nu_b = (mu * rng.choice((0.0, rng.uniform(0.01, 0.35))) for mu in (mu_a, mu_b))
+            s_nu, s_mu = rng.choice((0.0, 1e-3, 0.3)), rng.choice((0.0, 0.3, 0.6))
+            cfg = DecoyConfig(mu_a, mu_b, nu_a, nu_b, 1.0 - s_nu - s_mu, s_nu, s_mu)
+            prior = pair_intensity_prior(cfg)
+            for settings, times in ((cfg.z_settings(), 1.0), (cfg.x_settings(), 2.0)):
+                vectors = {
+                    PairIntensityVector(times * a, times * b)
+                    for a in cfg.levels("a")
+                    for b in cfg.levels("b")
+                }
+                reachable = [vec for vec in sorted(vectors) if prior.get(vec, 0.0) > 0.0]
+                assert settings == [vec for vec in reachable if vec != (0.0, 0.0)]
+                counts.add(len(settings))
+        assert counts == {0, 1, 3, 5, 8}  # every kind of config was drawn
 
 
 class TestPoissonPair:
@@ -867,7 +876,9 @@ class TestLinearProgram:
         for solve in (first, second):
             dtypes = [array.dtype for array in solve["model"]]
             assert dtypes == [np.float64] * 5 + [np.int32] * 2 + [np.float64]
-        assert first["column"] == second["column"] == ORACLE_CUTOFF + 2
+        target = np.arange((ORACLE_CUTOFF + 1) ** 2) == ORACLE_CUTOFF + 2  # the (1, 1) class
+        assert_same_bits(first["model"][0], np.where(target, 1.0, 0.0), "min cost")
+        assert_same_bits(second["model"][0], np.where(target, -1.0, 0.0), "max cost")
         assert not np.array_equal(first["fields"]["value_"], second["fields"]["value_"])
 
     @settings(max_examples=12, deadline=None)
@@ -937,7 +948,7 @@ class TestLinearProgram:
                 a = sparse.csc_array(matrix)
                 c = np.zeros(matrix.shape[1])
                 c[ORACLE_CUTOFF + 2] = objective_sign
-                assert solve["column"] == ORACLE_CUTOFF + 2
+                assert_same_bits(solve["model"][0], c, "cost")
                 fields = solve["fields"]
                 floats = {
                     "col_cost_": c,
@@ -980,7 +991,7 @@ class TestLinearProgram:
         presolved = copy_options(mpqkd.decoy.load_highs()[1])
         presolved.presolve = "on"
         with fresh_highs(options=presolved):
-            expected = mpqkd.decoy.linprog(solve["model"], solve["column"])
+            expected = mpqkd.decoy.linprog(solve["model"])
         runs = []
 
         class UnknownOnceHighs(_core._Highs):
@@ -994,7 +1005,7 @@ class TestLinearProgram:
                 return super().getModelStatus()
 
         with fresh_highs(UnknownOnceHighs):
-            assert mpqkd.decoy.linprog(solve["model"], solve["column"]) == expected
+            assert mpqkd.decoy.linprog(solve["model"]) == expected
         assert runs == ["off", "on"]
 
     def test_unknown_lp_is_solved_again_with_presolve(self):
@@ -1119,7 +1130,7 @@ class TestLinearProgram:
         assert len(model) == 8
         model = tuple(array[:-1] if k == short else array for k, array in enumerate(model))
         with pytest.raises(ValueError, match="decoy LP arrays disagree in length"):
-            mpqkd.decoy.linprog(model, ORACLE_CUTOFF + 2)
+            mpqkd.decoy.linprog(model)
 
     @pytest.mark.parametrize("rejected", ["options", "model"])
     def test_rejected_lp_is_a_failure(self, rejected):
@@ -1138,9 +1149,49 @@ class TestLinearProgram:
             model = (*model[:6], index, model[7])
         with fresh_highs(options=options):
             with pytest.raises(RuntimeError) as raised:
-                mpqkd.decoy.linprog(model, solve["column"])
+                mpqkd.decoy.linprog(model)
         assert type(raised.value) is RuntimeError
         assert str(raised.value) == "decoy LP failed: HiGHS rejected the options or the model"
+
+
+def pinned_problems():
+    """Observables and configs of 32 seeded scenarios drawn from criterion
+    11's ranges, each at s_nu = 1e-3 and at s_nu = 0."""
+    rng = random.Random(11)
+    problems = []
+    for _ in range(32):
+        distance_a, mu_a, mu_b = rng.uniform(40.0, 120.0), rng.uniform(0.2, 0.9), rng.uniform(0.2, 0.9)
+        sc = make_scenario(
+            distance_a,
+            distance_a + rng.uniform(0.0, 60.0),
+            mu_a,
+            mu_b,
+            1e6,
+            nu_a=mu_a * rng.uniform(0.1, 0.35),
+            nu_b=mu_b * rng.uniform(0.1, 0.35),
+        )
+        for s_nu in (1e-3, 0.0):
+            cfg = decoy_config_for(sc, s_nu=s_nu)
+            problems.append((expected_observables(sc, cfg), cfg))
+    return problems
+
+
+class TestPinnedBits:
+    # sha256 of the float.hex of every DecoyObservables and DecoyBounds
+    # field over pinned_problems(): each observable's settings and values in
+    # order, then the six bounds.  Changing it is a deliberate numeric change.
+    DIGEST = "54bfc6cff6d5e35bc8ed096c2a64628df3ec22a97db8c466dc0c65190f438a8d"
+
+    def test_observables_and_bounds_keep_their_bits(self):
+        digest = hashlib.sha256()
+        for obs, cfg in pinned_problems():
+            for name in OBSERVABLES:
+                for vec, value in getattr(obs, name).items():
+                    digest.update(f"{vec.sum_a.hex()} {vec.sum_b.hex()} {value.hex()};".encode())
+            bounds = bound_single_photon(obs, cfg)
+            assert all(type(v) is float for v in astuple(bounds) if v is not None), bounds
+            digest.update(" ".join(map(str, hex_bounds(bounds))).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestDecoyKeyRate:
