@@ -1,16 +1,17 @@
 """Protocol-level Monte Carlo oracle.
 
-Simulates the per-round physics (intensity and phase choices, Poisson photon
-numbers and whether any photon survives the channel, drawn jointly from one
-uniform per signal round, dark counts, single-click detection), the greedy
-maximal-interval pairing, basis sifting and key mapping, and aggregates
-empirical statistics to validate the analytic model.
+Simulates the clicked rounds of a run (intensity and phase choices, Poisson
+photon numbers and their survival, dark counts, single-click detection), the
+greedy maximal-interval pairing, basis sifting and key mapping, and
+aggregates empirical statistics to validate the analytic model.  Rounds are
+independent, so clicks form a Bernoulli(p) process over the round numbers,
+each with one round's click-conditioned outcome: the cost scales with clicks.
 
 The detector model routes all surviving photons of a round to one uniformly
 chosen detector and adds independent dark counts per detector; a round is
-kept when exactly one detector fires.  This reproduces the analytic
-click-probability formula up to O(p_d) double-click corrections and keeps
-the Z-basis error exactly zero for p_d == 0.
+kept when exactly one detector fires.  Its click probability is exactly
+1 - p_d times the analytic model's, which counts double clicks, and its
+Z-basis error is exactly zero for p_d == 0.
 
 Randomness comes from a counter-based Philox generator keyed by a 64-bit
 seed: independent round streams jump the generator per stream index, and
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 PHASE_SLICES = 16
-BLOCK = 1 << 16  # rounds per block of signal uniforms
 
 # Sift labels; a pair's basis column holds the index into BASES.
 BASES = ("Z", "X", "zero", "discard")
@@ -51,31 +51,34 @@ UNSET = -1
 
 @dataclass
 class Rounds:
-    """Column-oriented round storage, one entry per protocol round.
+    """A run of ``n_rounds`` protocol rounds, stored as columns over its clicks.
 
-    ``detector`` is 0 = L, 1 = R and meaningful only where ``clicked``;
-    phases are slices in [0, 16).  The columns take 10 bytes per round:
-    int16 photon numbers, one byte for each of the other six.
+    ``index`` holds the increasing round numbers of the clicked rounds; the
+    other columns have one entry per click, 17 bytes in all.  ``detector``
+    is 0 = L, 1 = R; phases are slices in [0, 16).  ``len`` is the number of
+    rounds, clicked or not.
     """
 
+    n_rounds: int
+    index: np.ndarray
     z_a: np.ndarray
     z_b: np.ndarray
     n_a: np.ndarray
     n_b: np.ndarray
-    clicked: np.ndarray
     detector: np.ndarray
     phase_a: np.ndarray
     phase_b: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.z_a)
+        return self.n_rounds
 
 
 @dataclass
 class Pairs:
-    """Paired clicked rounds as columns, one entry per pair.
+    """Paired clicks as columns, one entry per pair.
 
-    ``i`` < ``j`` index the two rounds in ``Rounds``.  The sift columns are
+    ``i`` < ``j`` are positions in the click columns of ``Rounds``, so
+    ``rounds.index[pairs.i]`` gives round numbers.  The sift columns are
     UNSET until ``sift_and_map`` fills them: ``basis`` indexes ``BASES``;
     key bits ``kappa_a``/``kappa_b`` are 0/1 for Z and X pairs; the
     ``error`` flag is 0/1 for Z pairs only.
@@ -96,61 +99,70 @@ def _unset(n: int) -> np.ndarray:
     return np.full(n, UNSET, dtype=np.int8)
 
 
-def _signal_edges(mu: float, eta: float) -> np.ndarray:
-    """Cumulative edges of a signal round's joint outcome (n, any photon survived).
+def _click_cells(scenario: Scenario) -> np.ndarray:
+    """Probability that a round clicks with outcome (z_a, z_b, s_a, s_b, detector),
+    cell k holding those bits from the highest, z_a, down; their sum is p.
 
-    Cell 0 is n = 0; cells 2n - 1 and 2n are n >= 1 photons, none and some
-    surviving: p_n (1 - eta)^n and p_n (1 - (1 - eta)^n), p_n = e^-mu mu^n / n!.
-    The table stops before the first n >= 2 with p_n < 2^-65; its last cell
-    absorbs that tail, below 1.5 p_n < 2^-64 as mu <= 1.
+    z_a, z_b and the photon port are fair bits; party x's photons survive
+    (s_x) with probability q_x = 1 - exp(-mu_x eta_x) when it sends a signal.
+    A surviving photon fires its port's detector, which clicks alone unless
+    the other one has a dark count; without one, a lone dark count clicks.
     """
-    edges = [math.exp(-mu)]
-    for n in itertools.count(1):
-        p_n = math.exp(-mu) * mu**n / math.factorial(n)
-        if n > 1 and p_n < 2.0**-65:
-            return np.array(edges[:-1])
-        edges += [edges[-1] + p_n * (1.0 - eta) ** n, edges[-1] + p_n]  # edges[-1] = F(n - 1)
+    p_d, survival = scenario.params.p_d, []
+    for mu, eta in ((scenario.mu_a, scenario.eta_a), (scenario.mu_b, scenario.eta_b)):
+        q = -math.expm1(-mu * eta)
+        survival.append(((1.0, 0.0), (1.0 - q, q)))  # [z][s]
+    return np.array(
+        [
+            0.25 * survival[0][z_a][s_a] * survival[1][z_b][s_b]
+            * ((1.0 - p_d) / 2.0 if s_a or s_b else p_d * (1.0 - p_d))
+            for z_a, z_b, s_a, s_b, _ in itertools.product((0, 1), repeat=5)
+        ]
+    )
 
 
-def _photon_numbers(rng, z, survived, mu: float, eta: float) -> np.ndarray:
-    """One party's photon numbers; marks ``survived`` where any photon survived.
+def _click_positions(rng, p: float, n_rounds: int) -> np.ndarray:
+    """Increasing round numbers in [0, n_rounds) of independent Bernoulli(p) clicks.
 
-    One uniform per signal round goes through ``_signal_edges``; only those
-    at or above p_0 are searched.  Blocks of ``BLOCK`` rounds keep the
-    transient small and draw the same uniforms as one whole-length call.
-    """
-    edges = _signal_edges(mu, eta)
-    photons = np.zeros(z.size, dtype=np.int16)
-    for start in range(0, z.size, BLOCK):
-        signal = np.flatnonzero(z[start : start + BLOCK].view(bool))  # bool: ~8x faster
-        u = rng.random(signal.size)
-        carrying = np.flatnonzero(u >= edges[0])  # ~4x faster than a mask index
-        rounds = signal[carrying] + start
-        cell = np.searchsorted(edges, u[carrying], side="right")
-        photons[rounds] = (cell + 1) >> 1
-        survived[rounds] |= cell & 1 == 0
+    Geometric gaps are summed in chunks, each sized to pass n_rounds at 6
+    sigma.  Capping gaps at n_rounds + 1 moves no position below n_rounds
+    and keeps the sums in int64."""
+    chunks, last = [np.empty(0, dtype=np.int64)], -1
+    while p > 0.0 and last < n_rounds:
+        expected = (n_rounds - last) * p
+        gaps = rng.geometric(p, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+        np.minimum(gaps, n_rounds + 1, out=gaps)
+        gaps[0] += last
+        chunks.append(np.cumsum(gaps, out=gaps))
+        last = int(gaps[-1])
+    index = chunks[-1] if len(chunks) == 2 else np.concatenate(chunks)  # one chunk: no copy
+    return index[: np.searchsorted(index, n_rounds)]
+
+
+def _photons(rng, signal: np.ndarray, survived: np.ndarray, mu: float, eta: float):
+    """One party's photon numbers: 0 without a signal, else one uniform per
+    pulse inverts P(n, lost) = p_n (1 - eta)^n or P(n, survived) = p_n -
+    P(n, lost), p_n = e^-mu mu^n / n!, scaled by its tabulated mass."""
+    n = np.arange(32)  # P(n >= 32) < 1e-35 at mu <= 1
+    p_n = math.exp(-mu) * mu**n / np.cumprod(np.maximum(n, 1), dtype=float)
+    lost = p_n * (1.0 - eta) ** n
+    u, photons = rng.random(signal.size), np.zeros(signal.size, dtype=np.int16)
+    for at, law in ((signal & ~survived, lost), (survived, p_n - lost)):
+        cdf = np.cumsum(law)
+        photons[at] = np.searchsorted(cdf[:-1], u[at] * cdf[-1], side="right")
     return photons
 
 
-def simulate_rounds(
-    scenario: Scenario, n_rounds: int, seed: int, stream: int = 0
-) -> Rounds:
-    """Simulate the per-round preparation, channel and detection physics.
+def simulate_rounds(scenario: Scenario, n_rounds: int, seed: int, stream: int = 0) -> Rounds:
+    """Simulate the clicked rounds among ``n_rounds`` protocol rounds.
 
     Deterministic for fixed (scenario, n_rounds, seed, stream); separate
     streams are statistically independent.  The generator calls are part of
-    the output: one byte per round (bits 0-2: z_a, z_b, photon port 1 = R;
-    bits 4-7: phase a), phase b, one uniform per signal round of a, then of
-    b (``_photon_numbers``), and for L then R a dark count
-    K ~ Binomial(n_rounds, p_d) and a choice of K distinct rounds (the law
-    of n_rounds Bernoulli(p_d) flags).  Changing their order or sizes
-    changes the columns, so it is a deliberate numeric change.
-
-    On top of the 10 B per round it returns, the transient peak is one
-    block's indices and uniforms, about 1 MB.  ``choice`` shuffles an index
-    array of all rounds, 8 B per round, only when K > n_rounds / 50
-    (p_d >= 0.02).
-    """
+    the output: the gaps of ``_click_positions``, then four calls of one draw
+    per click: a uniform for its ``_click_cells`` cell, one for a's and one
+    for b's ``_photons``, and a byte holding phase a (low nibble) and phase
+    b (high nibble).  Changing them is a deliberate numeric change.  Time and
+    memory scale with the clicks; the columns keep 17 B per click."""
     for name, value, least in (("n_rounds", n_rounds, 1), ("stream", stream, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -158,32 +170,22 @@ def simulate_rounds(
             raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.Generator(np.random.Philox(seed).jumped(stream))  # jumped(0): same state
 
-    bits = rng.integers(0, 256, n_rounds, dtype=np.uint8)
-    phase_b = rng.integers(0, PHASE_SLICES, n_rounds, dtype=np.uint8)
-    z_a, z_b, fired_r = bits & 1, bits >> 1 & 1, (bits >> 2 & 1).view(bool)
-    phase_a = np.right_shift(bits, 4, out=bits)
-
-    # In place: fired_l holds "a photon survived" until the photon port
-    # (fired_r, 1 = R) splits it, and ends as clicked; fired_r ends as detector.
-    fired_l = np.zeros(n_rounds, dtype=bool)
-    n_a = _photon_numbers(rng, z_a, fired_l, scenario.mu_a, scenario.eta_a)
-    n_b = _photon_numbers(rng, z_b, fired_l, scenario.mu_b, scenario.eta_b)
-    fired_r &= fired_l
-    fired_l ^= fired_r
-    for fired in (fired_l, fired_r):
-        dark = rng.binomial(n_rounds, scenario.params.p_d)
-        fired[rng.choice(n_rounds, dark, replace=False)] = True
-    fired_l ^= fired_r  # exactly one detector fired
-    return Rounds(z_a, z_b, n_a, n_b, fired_l, fired_r.view(np.uint8), phase_a, phase_b)
+    cdf = np.cumsum(_click_cells(scenario))
+    index = _click_positions(rng, float(cdf[-1]), int(n_rounds))
+    cell = np.searchsorted(cdf[:-1], rng.random(index.size) * cdf[-1], "right").astype(np.uint8)
+    z_a, z_b, s_a, s_b, detector = (cell >> bit & 1 for bit in (4, 3, 2, 1, 0))
+    n_a = _photons(rng, z_a.view(bool), s_a.view(bool), scenario.mu_a, scenario.eta_a)
+    n_b = _photons(rng, z_b.view(bool), s_b.view(bool), scenario.mu_b, scenario.eta_b)
+    phases = rng.integers(0, 256, index.size, dtype=np.uint8)
+    return Rounds(int(n_rounds), index, z_a, z_b, n_a, n_b, detector, phases & 15, phases >> 4)
 
 
 def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
     """Greedy left-to-right pairing of clicked rounds.
 
-    At most one clicked round is pending.  The next click pairs with it when
-    the index gap is within the maximal interval; otherwise the stale click
-    is dropped and the new one becomes pending.  Each click joins at most
-    one pair.
+    At most one click is pending.  The next click pairs with it when the gap
+    in round numbers is within the maximal interval; otherwise the stale
+    click is dropped and the new one becomes pending.
 
     Vectorized by run parity: call a gap between consecutive clicks short
     when it is within the interval.  A maximal run of short gaps always
@@ -192,14 +194,13 @@ def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
     """
     if not is_pairing_interval(lam):
         raise ValueError(f"pairing interval must be an integer >= 1 or inf, got {lam}")
-    clicks = np.flatnonzero(rounds.clicked)
-    short = np.diff(clicks) <= lam
+    short = np.diff(rounds.index) <= lam
     gap = np.arange(short.size)
-    run_start = np.maximum.accumulate(np.where(short, 0, gap + 1))
-    take = short & ((gap - run_start) % 2 == 0)
-    i, j = clicks[:-1][take], clicks[1:][take]
-    n = i.size
-    return Pairs(i=i, j=j, basis=_unset(n), kappa_a=_unset(n), kappa_b=_unset(n), error=_unset(n))
+    run_start = np.where(short, 0, gap + 1)
+    np.maximum.accumulate(run_start, out=run_start)
+    run_start -= gap  # minus each gap's offset in its run, which has its parity
+    i = np.flatnonzero(short & (run_start & 1 == 0))
+    return Pairs(i, i + 1, _unset(i.size), _unset(i.size), _unset(i.size), _unset(i.size))
 
 
 def _party_label(bit_i: np.ndarray, bit_j: np.ndarray) -> np.ndarray:
@@ -287,7 +288,6 @@ def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
     ``pairs`` must already be sifted.  The single-photon tag uses the source
     photon numbers: exactly one photon per party in total across the pair.
     """
-    clicks = int(np.count_nonzero(rounds.clicked))
     by_basis = tuple(int(np.count_nonzero(pairs.basis == code)) for code in range(len(BASES)))
     z = pairs.basis == Z
     z_pairs = by_basis[Z]
@@ -296,7 +296,7 @@ def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
     one_each = (rounds.n_a[i] + rounds.n_a[j] == 1) & (rounds.n_b[i] + rounds.n_b[j] == 1)
     single_photon = int(np.count_nonzero(one_each))
     return EmpiricalStats(
-        p_hat=_estimate(clicks, len(rounds)),
+        p_hat=_estimate(rounds.index.size, len(rounds)),
         r_p_hat=_estimate(len(pairs), len(rounds)),
         r_s_hat=_estimate(z_pairs, len(pairs)),
         e_z_hat=_estimate(z_errors, z_pairs),

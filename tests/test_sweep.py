@@ -518,9 +518,11 @@ class TestVerifyOracles:
             verify_oracles(spec)
 
     def test_one_point_of_columns_alive_at_a_time(self):
-        # Two points of 1e6 rounds each.  Point 0's columns (10 MB) are
-        # freed before point 1 simulates, so the whole run peaks where one
-        # simulate_rounds call does (measured: within 0.1 MB of it).
+        # Two points of 1e6 rounds each, ~60,000 clicks per point.  Point 0's
+        # columns (1.0 MB) are freed before point 1 simulates, so the whole
+        # run peaks where one point's simulate, pair and sift stages do:
+        # measured 3.2 MB, 1.1 MB above one simulate_rounds call (2.1 MB).
+        # Keeping point 0's rounds and pairs alive measured 2.8 MB above it.
         spec = {
             **CUSTOM_BASE,
             "distance_start": 20,
