@@ -1,11 +1,13 @@
 """Protocol-level Monte Carlo oracle.
 
-Simulates the clicked rounds of a run (intensity and phase choices, Poisson
-photon numbers and their survival, dark counts, single-click detection), the
-greedy maximal-interval pairing, basis sifting and key mapping, and
-aggregates empirical statistics to validate the analytic model.  Rounds are
-independent, so clicks form a Bernoulli(p) process over the round numbers,
-each with one round's click-conditioned outcome: the cost scales with clicks.
+Simulates the clicked rounds of a run (intensity and phase choices, photon
+survival, dark counts, single-click detection), the greedy maximal-interval
+pairing, basis sifting and key mapping, and aggregates empirical statistics
+to validate the analytic model.  Rounds are independent, so clicks form a
+Bernoulli(p) process over the round numbers, each with one round's
+click-conditioned outcome: the cost scales with clicks.  Poisson photon
+numbers are drawn only where the single-photon statistic reads them, at the
+clicks of Z pairs.
 
 The detector model routes all surviving photons of a round to one uniformly
 chosen detector and adds independent dark counts per detector; a round is
@@ -14,8 +16,9 @@ kept when exactly one detector fires.  Its click probability is exactly
 Z-basis error is exactly zero for p_d == 0.
 
 Randomness comes from a counter-based Philox generator keyed by a 64-bit
-seed: independent round streams jump the generator per stream index, and
-sifting draws from a key spawned from the seed.
+seed: independent round streams jump the generator per stream index;
+sifting draws from the first key spawned from the seed and the photon
+numbers from the second.
 """
 from __future__ import annotations
 
@@ -49,22 +52,38 @@ Z, X, ZERO, DISCARD = range(len(BASES))
 UNSET = -1
 
 
+def _party_label(bit_i: int, bit_j: int) -> int:
+    return Z if bit_i != bit_j else (X if bit_i else ZERO)
+
+
+# Sift label of a pair by its z bits z_a[i] z_a[j] z_b[i] z_b[j], highest first.
+_PAIR_BASIS = np.array(
+    [
+        _party_label(a_i, a_j) if _party_label(a_i, a_j) == _party_label(b_i, b_j) else DISCARD
+        for a_i, a_j, b_i, b_j in itertools.product((0, 1), repeat=4)
+    ],
+    dtype=np.int8,
+)
+
+
 @dataclass
 class Rounds:
     """A run of ``n_rounds`` protocol rounds, stored as columns over its clicks.
 
     ``index`` holds the increasing round numbers of the clicked rounds; the
-    other columns have one entry per click, 17 bytes in all.  ``detector``
-    is 0 = L, 1 = R; phases are slices in [0, 16).  ``len`` is the number of
-    rounds, clicked or not.
+    other columns have one uint8 entry per click, 15 bytes in all.  ``s_a``
+    and ``s_b`` are 1 when a photon of that party's signal survived the
+    channel (never without a signal); ``detector`` is 0 = L, 1 = R; phases
+    are slices in [0, 16).  ``len`` is the number of rounds, clicked or not.
+    Photon numbers are not kept: ``estimate_statistics`` draws them.
     """
 
     n_rounds: int
     index: np.ndarray
     z_a: np.ndarray
     z_b: np.ndarray
-    n_a: np.ndarray
-    n_b: np.ndarray
+    s_a: np.ndarray
+    s_b: np.ndarray
     detector: np.ndarray
     phase_a: np.ndarray
     phase_b: np.ndarray
@@ -139,17 +158,43 @@ def _click_positions(rng, p: float, n_rounds: int) -> np.ndarray:
     return index[: np.searchsorted(index, n_rounds)]
 
 
-def _photons(rng, signal: np.ndarray, survived: np.ndarray, mu: float, eta: float):
-    """One party's photon numbers: 0 without a signal, else one uniform per
-    pulse inverts P(n, lost) = p_n (1 - eta)^n or P(n, survived) = p_n -
-    P(n, lost), p_n = e^-mu mu^n / n!, scaled by its tabulated mass."""
+def _invert_cdf(cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf[:-1], x, "right")`` as uint8, for a table of at
+    most 256 entries and unsorted x: the number of edges at or below each x.
+
+    Each distinct edge adds its multiplicity (zero-mass entries repeat an
+    edge) where x passed it; a few passes over x cost less than a binary
+    search per key.  The edges ascend, and those above every x add nothing."""
+    edges, counts = np.unique(cdf[:-1], return_counts=True)
+    index, step = np.zeros(x.size, dtype=np.uint8), np.empty(x.size, dtype=np.uint8)
+    top = x.max(initial=-math.inf)
+    for edge, count in zip(edges.tolist(), counts.tolist()):
+        if edge > top:
+            break
+        np.greater_equal(x, edge, out=step)
+        if count > 1:
+            step *= count
+        index += step
+    return index
+
+
+def _photon_laws(mu: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Joint masses P(n, lost) = p_n (1 - eta)^n and P(n, survived) = p_n -
+    P(n, lost) of a signal pulse's photon number n < 32, p_n = e^-mu mu^n / n!."""
     n = np.arange(32)  # P(n >= 32) < 1e-35 at mu <= 1
     p_n = math.exp(-mu) * mu**n / np.cumprod(np.maximum(n, 1), dtype=float)
     lost = p_n * (1.0 - eta) ** n
-    u, photons = rng.random(signal.size), np.zeros(signal.size, dtype=np.int16)
-    for at, law in ((signal & ~survived, lost), (survived, p_n - lost)):
+    return lost, p_n - lost
+
+
+def _photons(rng, survived: np.ndarray, mu: float, eta: float) -> np.ndarray:
+    """Photon numbers of one party's signal pulses, given whether any photon
+    survived: one uniform per pulse inverts the law of its case, scaled by
+    the law's tabulated mass."""
+    u, photons = rng.random(survived.size), np.empty(survived.size, dtype=np.uint8)
+    for at, law in zip((~survived, survived), _photon_laws(mu, eta)):
         cdf = np.cumsum(law)
-        photons[at] = np.searchsorted(cdf[:-1], u[at] * cdf[-1], side="right")
+        photons[at] = _invert_cdf(cdf, u[at] * cdf[-1])
     return photons
 
 
@@ -158,11 +203,11 @@ def simulate_rounds(scenario: Scenario, n_rounds: int, seed: int, stream: int = 
 
     Deterministic for fixed (scenario, n_rounds, seed, stream); separate
     streams are statistically independent.  The generator calls are part of
-    the output: the gaps of ``_click_positions``, then four calls of one draw
-    per click: a uniform for its ``_click_cells`` cell, one for a's and one
-    for b's ``_photons``, and a byte holding phase a (low nibble) and phase
-    b (high nibble).  Changing them is a deliberate numeric change.  Time and
-    memory scale with the clicks; the columns keep 17 B per click."""
+    the output: the gaps of ``_click_positions``, then two calls of one draw
+    per click: a uniform for its ``_click_cells`` cell, which holds z_a, z_b,
+    s_a, s_b and the detector, and a byte holding phase a (low nibble) and
+    phase b (high nibble).  Changing them is a deliberate numeric change.
+    Time and memory scale with the clicks; the columns keep 15 B per click."""
     for name, value, least in (("n_rounds", n_rounds, 1), ("stream", stream, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -172,12 +217,13 @@ def simulate_rounds(scenario: Scenario, n_rounds: int, seed: int, stream: int = 
 
     cdf = np.cumsum(_click_cells(scenario))
     index = _click_positions(rng, float(cdf[-1]), int(n_rounds))
-    cell = np.searchsorted(cdf[:-1], rng.random(index.size) * cdf[-1], "right").astype(np.uint8)
+    u = rng.random(index.size)
+    u *= cdf[-1]
+    cell = _invert_cdf(cdf, u)
+    del u  # 8 B per click, freed before the bit columns are cut
     z_a, z_b, s_a, s_b, detector = (cell >> bit & 1 for bit in (4, 3, 2, 1, 0))
-    n_a = _photons(rng, z_a.view(bool), s_a.view(bool), scenario.mu_a, scenario.eta_a)
-    n_b = _photons(rng, z_b.view(bool), s_b.view(bool), scenario.mu_b, scenario.eta_b)
     phases = rng.integers(0, 256, index.size, dtype=np.uint8)
-    return Rounds(int(n_rounds), index, z_a, z_b, n_a, n_b, detector, phases & 15, phases >> 4)
+    return Rounds(int(n_rounds), index, z_a, z_b, s_a, s_b, detector, phases & 15, phases >> 4)
 
 
 def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
@@ -203,10 +249,6 @@ def pair_clicks(rounds: Rounds, lam: float) -> Pairs:
     return Pairs(i, i + 1, _unset(i.size), _unset(i.size), _unset(i.size), _unset(i.size))
 
 
-def _party_label(bit_i: np.ndarray, bit_j: np.ndarray) -> np.ndarray:
-    return np.where(bit_i != bit_j, Z, np.where(bit_i == 0, ZERO, X))
-
-
 def sift_and_map(rounds: Rounds, pairs: Pairs, scenario: Scenario, seed: int = 0) -> Pairs:
     """Basis sifting and key mapping.
 
@@ -215,32 +257,30 @@ def sift_and_map(rounds: Rounds, pairs: Pairs, scenario: Scenario, seed: int = 0
     pairs derive bits from the phase-slice difference, keep only matching
     alignment angles, flip Bob's bit on an (L,R)/(R,L) detector pattern and
     then pass it through the misalignment channel, one uniform draw per kept
-    X pair in pair order, from a key spawned from ``seed`` that no round
-    stream of ``simulate_rounds`` uses.
+    X pair in pair order, from the first key spawned from ``seed``, which no
+    round stream of ``simulate_rounds`` uses.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
     half = PHASE_SLICES // 2
     i, j = pairs.i, pairs.j
-    a_i, a_j = rounds.z_a[i], rounds.z_a[j]
-    b_i, b_j = rounds.z_b[i], rounds.z_b[j]
-    label = _party_label(a_i, a_j)
-    basis = np.where(label == _party_label(b_i, b_j), label, DISCARD).astype(np.int8)
+    a_i, b_j = rounds.z_a[i], rounds.z_b[j]
+    basis = _PAIR_BASIS[a_i << 3 | rounds.z_a[j] << 2 | rounds.z_b[i] << 1 | b_j]
 
-    # X pair: bits and alignment angles from the phase-slice difference
-    diff_a = (rounds.phase_a[j].astype(np.int16) - rounds.phase_a[i]) % PHASE_SLICES
-    diff_b = (rounds.phase_b[j].astype(np.int16) - rounds.phase_b[i]) % PHASE_SLICES
-    basis[(basis == X) & (diff_a % half != diff_b % half)] = DISCARD
+    # X pair: bits and alignment angles from the phase-slice difference (the
+    # uint8 difference wraps mod 256, a multiple of the 16 slices); the
+    # angles match when the differences agree below the half-turn bit
+    diff_a = (rounds.phase_a[j] - rounds.phase_a[i]) & (PHASE_SLICES - 1)
+    diff_b = (rounds.phase_b[j] - rounds.phase_b[i]) & (PHASE_SLICES - 1)
+    basis[(basis == X) & ((diff_a ^ diff_b) & (half - 1) != 0)] = DISCARD
 
-    kappa_a, kappa_b, error = _unset(i.size), _unset(i.size), _unset(i.size)
-    z = basis == Z
+    z, x = basis == Z, basis == X
+    bit_a, bit_b = a_i.view(np.int8), b_j.view(np.int8)
     # Z pair: Alice's bit is 0 on z bits (0, 1), Bob's is 1 on (0, 1)
-    kappa_a[z] = a_i[z]
-    kappa_b[z] = b_j[z]
-    error[z] = a_i[z] != b_j[z]
-    x = basis == X
+    kappa_a = np.where(z, bit_a, np.where(x, (diff_a >= half).view(np.int8), UNSET))
+    kappa_b = np.where(z, bit_b, UNSET)
+    error = np.where(z, bit_a ^ bit_b, UNSET)
     flip = rounds.detector[i[x]] != rounds.detector[j[x]]
     flip ^= rng.random(np.count_nonzero(x)) < scenario.params.e_d
-    kappa_a[x] = diff_a[x] >= half
     kappa_b[x] = (diff_b[x] >= half) ^ flip
     return Pairs(i=i, j=j, basis=basis, kappa_a=kappa_a, kappa_b=kappa_b, error=error)
 
@@ -282,18 +322,32 @@ class EmpiricalStats:
     pairs_by_basis: tuple[int, ...]
 
 
-def estimate_statistics(pairs: Pairs, rounds: Rounds) -> EmpiricalStats:
+def estimate_statistics(
+    pairs: Pairs, rounds: Rounds, scenario: Scenario, seed: int = 0
+) -> EmpiricalStats:
     """Aggregate click, pairing, sifting and error frequencies.
 
-    ``pairs`` must already be sifted.  The single-photon tag uses the source
+    ``pairs`` must already be sifted.  The single-photon tag reads source
     photon numbers: exactly one photon per party in total across the pair.
+    A Z pair holds one signal round of each party, so only those photon
+    numbers are drawn, by ``_photons`` given the round's survived bit: one
+    uniform per Z pair for Alice's, then one per Z pair for Bob's, in pair
+    order, from the second key spawned from ``seed``, which neither the
+    round streams of ``simulate_rounds`` nor ``sift_and_map`` use.
     """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(2)[1]))
     by_basis = tuple(int(np.count_nonzero(pairs.basis == code)) for code in range(len(BASES)))
-    z = pairs.basis == Z
+    z = np.flatnonzero(pairs.basis == Z)
     z_pairs = by_basis[Z]
     z_errors = int(np.count_nonzero(pairs.error[z] == 1))
     i, j = pairs.i[z], pairs.j[z]
-    one_each = (rounds.n_a[i] + rounds.n_a[j] == 1) & (rounds.n_b[i] + rounds.n_b[j] == 1)
+    one_each = np.ones(z_pairs, dtype=bool)
+    for z_bits, survived, mu, eta in (
+        (rounds.z_a, rounds.s_a, scenario.mu_a, scenario.eta_a),
+        (rounds.z_b, rounds.s_b, scenario.mu_b, scenario.eta_b),
+    ):
+        signal = np.where(z_bits[i] == 1, i, j)
+        one_each &= _photons(rng, survived[signal].view(bool), mu, eta) == 1
     single_photon = int(np.count_nonzero(one_each))
     return EmpiricalStats(
         p_hat=_estimate(rounds.index.size, len(rounds)),

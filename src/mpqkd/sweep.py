@@ -474,7 +474,7 @@ def _monte_carlo_checks(
     so only one point's columns are alive at a time."""
     rounds = simulate_rounds(scenario, spec.n_rounds, spec.seed, stream=stream)
     pairs = sift_and_map(rounds, pair_clicks(rounds, scenario.lam), scenario, seed=spec.seed)
-    stats = estimate_statistics(pairs, rounds)
+    stats = estimate_statistics(pairs, rounds, scenario, spec.seed)
     report = []
     for name, estimate in (("p", stats.p_hat), ("r_p", stats.r_p_hat), ("r_s", stats.r_s_hat)):
         if estimate is None:

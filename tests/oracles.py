@@ -20,6 +20,7 @@ from mpqkd.model import (
     binary_entropy,
     pairing_rate,
 )
+from mpqkd.montecarlo import DISCARD, PHASE_SLICES, UNSET, ZERO, Pairs, Rounds, X, Z
 from mpqkd.optimize import (
     _GRID_RESOLUTION,
     _GRID_TIE_TOL,
@@ -376,3 +377,38 @@ def unit_interval_problem(x, what: str):
     if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         return f"{what} must be in [0, 1], got {x}"
     return None
+
+
+def _party_label(bit_i: np.ndarray, bit_j: np.ndarray) -> np.ndarray:
+    return np.where(bit_i != bit_j, Z, np.where(bit_i == 0, ZERO, X))
+
+
+def reference_sift(rounds: Rounds, pairs: Pairs, scenario: Scenario, seed: int = 0) -> Pairs:
+    """``sift_and_map`` written with per-party labels, int16 phase
+    differences and masked assignment: the same columns, values and dtypes,
+    from the same misalignment draws."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
+    half = PHASE_SLICES // 2
+    i, j = pairs.i, pairs.j
+    a_i, a_j = rounds.z_a[i], rounds.z_a[j]
+    b_i, b_j = rounds.z_b[i], rounds.z_b[j]
+    label = _party_label(a_i, a_j)
+    basis = np.where(label == _party_label(b_i, b_j), label, DISCARD).astype(np.int8)
+
+    # X pair: bits and alignment angles from the phase-slice difference
+    diff_a = (rounds.phase_a[j].astype(np.int16) - rounds.phase_a[i]) % PHASE_SLICES
+    diff_b = (rounds.phase_b[j].astype(np.int16) - rounds.phase_b[i]) % PHASE_SLICES
+    basis[(basis == X) & (diff_a % half != diff_b % half)] = DISCARD
+
+    kappa_a, kappa_b, error = (np.full(i.size, UNSET, dtype=np.int8) for _ in range(3))
+    z = basis == Z
+    # Z pair: Alice's bit is 0 on z bits (0, 1), Bob's is 1 on (0, 1)
+    kappa_a[z] = a_i[z]
+    kappa_b[z] = b_j[z]
+    error[z] = a_i[z] != b_j[z]
+    x = basis == X
+    flip = rounds.detector[i[x]] != rounds.detector[j[x]]
+    flip ^= rng.random(np.count_nonzero(x)) < scenario.params.e_d
+    kappa_a[x] = diff_a[x] >= half
+    kappa_b[x] = (diff_b[x] >= half) ^ flip
+    return Pairs(i=i, j=j, basis=basis, kappa_a=kappa_a, kappa_b=kappa_b, error=error)

@@ -213,7 +213,7 @@ def test_criterion_10_monte_carlo_agreement():
     scenario = make_scenario(100.0, 100.0, 0.5, 0.5, 100, SystemParams(p_d=0.0))
     rounds = simulate_rounds(scenario, 10_000_000, seed=20240817)
     pairs = sift_and_map(rounds, pair_clicks(rounds, scenario.lam), scenario)
-    stats = estimate_statistics(pairs, rounds)
+    stats = estimate_statistics(pairs, rounds, scenario)
     reference = key_rate(scenario)
     ok = True
     details = []

@@ -1,4 +1,6 @@
 """Tests for the Monte Carlo protocol oracle."""
+import copy
+import itertools
 import math
 import tracemalloc
 
@@ -7,24 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpqkd.montecarlo
 from mpqkd.model import Scenario, SystemParams, key_rate, make_scenario, pairing_rate
 from mpqkd.montecarlo import (
     BASES,
     PHASE_SLICES,
     UNSET,
+    X,
     EmpiricalStats,
     Rounds,
     _click_cells,
     _click_positions,
+    _invert_cdf,
+    _photon_laws,
     _photons,
     estimate_statistics,
     pair_clicks,
     sift_and_map,
     simulate_rounds,
 )
+from oracles import reference_sift
 
 NO_DARK = SystemParams(p_d=0.0)
-CLICK_COLUMNS = ("index", "z_a", "z_b", "n_a", "n_b", "detector", "phase_a", "phase_b")
+CLICK_COLUMNS = ("index", "z_a", "z_b", "s_a", "s_b", "detector", "phase_a", "phase_b")
 
 
 def reference_rounds(scenario, n_rounds: int, seed: int) -> tuple[Rounds, dict]:
@@ -34,8 +41,8 @@ def reference_rounds(scenario, n_rounds: int, seed: int) -> tuple[Rounds, dict]:
     party that sends a signal emits Poisson(mu) photons, each surviving the
     channel with probability eta; L and R take independent dark counts with
     probability p_d; a round is kept when exactly one detector fires.
-    Returns the clicks as ``Rounds`` and, per party, whether any photon
-    survived in each clicked round.
+    Returns the clicks as ``Rounds`` and, per party, the photon numbers of
+    the clicked rounds.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.integers(0, 2, (2, n_rounds), dtype=np.uint8)
@@ -54,11 +61,11 @@ def reference_rounds(scenario, n_rounds: int, seed: int) -> tuple[Rounds, dict]:
         n_rounds,
         np.flatnonzero(clicked),
         *z[:, clicked],
-        *n[:, clicked],
+        *survived[:, clicked].astype(np.uint8),
         fired_r[clicked].astype(np.uint8),
         *phases[:, clicked],
     )
-    return rounds, {"a": survived[0, clicked], "b": survived[1, clicked]}
+    return rounds, {"a": n[0, clicked], "b": n[1, clicked]}
 
 
 def assert_counts_within_5_sigma(counts, total: int, name: str = "") -> None:
@@ -82,6 +89,19 @@ def assert_same_law_within_5_sigma(first, second, name: str = "") -> None:
         assert abs(c_1 / n_1 - c_2 / n_2) <= 5.0 * sigma, (name, c_1, n_1, c_2, n_2)
 
 
+def assert_law_within_5_sigma(observed, law, name: str = "") -> None:
+    """The values ``observed`` follow the probabilities ``law`` over 0, 1, ...
+    within 5 sigma per value.  Values expected fewer than 10 times are pooled
+    into one tail value; a value of probability 0 must not occur."""
+    law = np.asarray(law, dtype=float)
+    tally = np.bincount(observed, minlength=law.size)
+    assert tally.size == law.size, (name, tally.size)
+    kept = (law * observed.size >= 10.0) | (law == 0.0)
+    counts = list(zip(tally[kept].tolist(), law[kept]))
+    counts.append((int(tally[~kept].sum()), float(law[~kept].sum())))
+    assert_counts_within_5_sigma(counts, observed.size, name)
+
+
 def traced_peak(call) -> int:
     """Peak bytes that tracemalloc sees numpy and Python allocate during call()."""
     tracemalloc.start()
@@ -99,8 +119,8 @@ def synthetic_rounds(n: int, clicked_at=(), **column_overrides) -> Rounds:
     columns = {
         "z_a": np.zeros(index.size, dtype=np.uint8),
         "z_b": np.zeros(index.size, dtype=np.uint8),
-        "n_a": np.zeros(index.size, dtype=np.int16),
-        "n_b": np.zeros(index.size, dtype=np.int16),
+        "s_a": np.zeros(index.size, dtype=np.uint8),
+        "s_b": np.zeros(index.size, dtype=np.uint8),
         "detector": np.zeros(index.size, dtype=np.uint8),
         "phase_a": np.zeros(index.size, dtype=np.uint8),
         "phase_b": np.zeros(index.size, dtype=np.uint8),
@@ -218,16 +238,17 @@ class TestSimulateRounds:
     @pytest.mark.parametrize("p_d", [0.0, 1e-2, 0.3])
     def test_matches_per_round_reference(self, p_d):
         # Clicks drawn as a Bernoulli process with a cell per click against
-        # every round drawn on its own: the (z_a, z_b, detector) counts, the
-        # photon numbers given survived or lost, and the pair counts agree.
+        # every round drawn on its own: the (z_a, z_b, s_a, s_b, detector)
+        # counts, the photon numbers given survived or lost, and the pair
+        # counts agree.
         sc = make_scenario(10.0, 30.0, 0.5, 0.3, 100, SystemParams(p_d=p_d))
         n_rounds = 1_000_000
         got = simulate_rounds(sc, n_rounds, seed=29)
-        want, survived = reference_rounds(sc, n_rounds, seed=29)
+        want, photon_numbers = reference_rounds(sc, n_rounds, seed=29)
 
         def cells(rounds):
-            code = 4 * rounds.z_a + 2 * rounds.z_b + rounds.detector
-            return np.bincount(code, minlength=8)
+            code = 16 * rounds.z_a + 8 * rounds.z_b + 4 * rounds.s_a + 2 * rounds.s_b
+            return np.bincount(code + rounds.detector, minlength=32)
 
         for k, (c_1, c_2) in enumerate(zip(cells(got), cells(want))):
             assert_same_law_within_5_sigma([c_1, n_rounds - c_1], [c_2, n_rounds - c_2], k)
@@ -235,9 +256,9 @@ class TestSimulateRounds:
         rng = np.random.Generator(np.random.Philox(29))
         for party, mu, eta in (("a", sc.mu_a, sc.eta_a), ("b", sc.mu_b, sc.eta_b)):
             signal = getattr(want, f"z_{party}") == 1
-            flags = survived[party][signal]
-            drawn = _photons(rng, np.ones_like(flags), flags, mu, eta)
-            photons = getattr(want, f"n_{party}")[signal]
+            flags = getattr(want, f"s_{party}")[signal].view(bool)
+            drawn = _photons(rng, flags, mu, eta)
+            photons = photon_numbers[party][signal]
             for flag in (False, True):
                 at = flags == flag
                 tallies = [np.bincount(n[at], minlength=32) for n in (drawn, photons)]
@@ -259,17 +280,14 @@ class TestSimulateRounds:
         q = -math.expm1(-mu * eta)
         clicks = rounds.index.size
         assert_counts_within_5_sigma([(clicks, q / 2.0)], n_rounds)
-        assert np.all(rounds.z_a == 1) and not rounds.n_b.any()
-        # photon numbers at clicks: p_n (1 - (1 - eta)^n) / q; cells
-        # expected fewer than 10 times are pooled into one tail cell, and
-        # n = 0 (probability 0) must stay empty.
-        observed = np.bincount(rounds.n_a, minlength=40)
+        assert np.all(rounds.z_a == 1) and np.all(rounds.s_a == 1) and not rounds.s_b.any()
+        # photon numbers drawn at these clicks, as estimate_statistics draws
+        # them: p_n (1 - (1 - eta)^n) / q, and n = 0 (probability 0) never
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41).spawn(2)[1]))
+        photons = _photons(rng, rounds.s_a.view(bool), mu, eta)
         p_k = [math.exp(-mu) * mu**k / math.factorial(k) for k in range(40)]
-        law = np.array([p * (1.0 - (1.0 - eta) ** k) / q for k, p in enumerate(p_k)])
-        kept = (law * clicks >= 10.0) | (law == 0.0)
-        counts = list(zip(observed[kept].tolist(), law[kept]))
-        counts.append((int(observed[~kept].sum()), float(law[~kept].sum())))
-        assert_counts_within_5_sigma(counts, clicks)
+        law = [p * (1.0 - (1.0 - eta) ** k) / q for k, p in enumerate(p_k)]
+        assert_law_within_5_sigma(photons, law)
 
         uniform_columns = {
             "z_b": (rounds.z_b, 2),
@@ -284,23 +302,26 @@ class TestSimulateRounds:
 
     @pytest.mark.parametrize("p_d", [0.0, 1e-2, 0.3])
     def test_dark_counts_in_photonless_rounds(self, p_d):
-        # A round that sent no photon, with probability
-        # (1 + e^-mu_a)(1 + e^-mu_b) / 4, clicks on one lone dark count, with
-        # probability 2 p_d (1 - p_d), and as often on L as on R.
+        # A round in which no photon reached the detectors, with probability
+        # (1 - q_a / 2)(1 - q_b / 2), q_x = 1 - e^(-mu_x eta_x), clicks on
+        # one lone dark count, with probability 2 p_d (1 - p_d), and as
+        # often on L as on R.
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, SystemParams(p_d=p_d))
         n_rounds = 200_000
         rounds = simulate_rounds(sc, n_rounds, seed=19)
-        photonless = (rounds.n_a == 0) & (rounds.n_b == 0)
-        q = (1.0 + math.exp(-0.5)) ** 2 / 4.0 * 2.0 * p_d * (1.0 - p_d)
-        count = np.count_nonzero(photonless)
+        no_photon = (rounds.s_a == 0) & (rounds.s_b == 0)
+        q = 2.0 * p_d * (1.0 - p_d)
+        for mu, eta in ((sc.mu_a, sc.eta_a), (sc.mu_b, sc.eta_b)):
+            q *= 1.0 + math.expm1(-mu * eta) / 2.0
+        count = np.count_nonzero(no_photon)
         assert abs(count - n_rounds * q) <= 4.0 * math.sqrt(n_rounds * q * (1.0 - q))
-        right = rounds.detector[photonless]
+        right = rounds.detector[no_photon]
         assert abs(right.sum() - right.size / 2.0) <= 4.0 * 0.5 * math.sqrt(right.size)
 
     def test_click_frequency_matches_model(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=11)
-        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds, sc)
         assert stats.p_hat.within_sigmas(key_rate(sc).p)
 
     def test_single_detector_flag(self):
@@ -355,19 +376,20 @@ class TestSimulateRounds:
         else:
             sc = make_scenario(10.0, distance_b, mu_a, mu_b, 100, SystemParams(p_d=p_d))
         rounds = simulate_rounds(sc, n_rounds, seed, stream)
-        dtypes = (np.int64, np.uint8, np.uint8, np.int16, np.int16, np.uint8, np.uint8, np.uint8)
-        for name, dtype in zip(CLICK_COLUMNS, dtypes):
+        for name in CLICK_COLUMNS:
             column = getattr(rounds, name)
+            dtype = np.int64 if name == "index" else np.uint8
             assert column.dtype == dtype and column.shape == rounds.index.shape, name
         index = rounds.index
         assert len(rounds) == n_rounds
         assert np.all(np.diff(index) > 0) and np.all((index >= 0) & (index < n_rounds))
-        for z, n in ((rounds.z_a, rounds.n_a), (rounds.z_b, rounds.n_b)):
-            assert np.all(n[z == 0] == 0) and np.all(n >= 0)
-        assert rounds.detector.max(initial=0) <= 1
+        for name in ("z_a", "z_b", "s_a", "s_b", "detector"):
+            assert getattr(rounds, name).max(initial=0) <= 1, name
+        # no photon survives without a signal
+        assert np.all(rounds.s_a <= rounds.z_a) and np.all(rounds.s_b <= rounds.z_b)
         assert max(rounds.phase_a.max(initial=0), rounds.phase_b.max(initial=0)) < PHASE_SLICES
-        if p_d == 0.0:  # every click carries a photon
-            assert np.all((rounds.n_a > 0) | (rounds.n_b > 0))
+        if p_d == 0.0:  # every click carries a surviving photon
+            assert np.all((rounds.s_a == 1) | (rounds.s_b == 1))
 
     @pytest.mark.parametrize("n_rounds", [1, 2, 1_000, 10_007])
     def test_positions_in_several_chunks(self, n_rounds):
@@ -382,8 +404,8 @@ class TestSimulateRounds:
         assert _click_positions(FixedGaps(2**63 - 1), 1e-300, 1_000).size == 0
 
     def test_peak_memory(self):
-        # 2e6 rounds at 10+10 km click ~120,000 times: 2.1 MB of columns
-        # (17 B/click) plus per-click temporaries, measured 5.6 MB at the
+        # 2e6 rounds at 10+10 km click ~120,000 times: 1.8 MB of columns
+        # (15 B/click) plus per-click temporaries, measured 2.2 MB at the
         # peak.  Per-round columns alone would take 20 MB.
         sc = make_scenario(10.0, 10.0, 0.5, 0.5, 100)
         peak = traced_peak(lambda: simulate_rounds(sc, 2_000_000, seed=1))
@@ -395,6 +417,37 @@ class TestSimulateRounds:
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100)
         peak = traced_peak(lambda: simulate_rounds(sc, 100_000_000, seed=1))
         assert peak < 16e6
+
+
+class TestInvertCdf:
+    @staticmethod
+    def assert_matches_searchsorted(cdf):
+        edges, total = cdf[:-1], cdf[-1]
+        rng = np.random.Generator(np.random.Philox(5))
+        x = np.concatenate(
+            [
+                [0.0, np.nextafter(total, 0.0)],
+                edges,
+                np.nextafter(edges, 0.0),
+                rng.random(20_000) * total,
+            ]
+        )
+        got = _invert_cdf(cdf, x)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.searchsorted(edges, x, "right"))
+
+    @pytest.mark.parametrize(
+        "mu, p_d",
+        [(0.5, 0.0), (0.5, 1.2e-8), (0.5, 1e-2), (0.5, 0.3), (5e-324, 1.2e-8), (5e-324, 0.0)],
+    )
+    def test_click_cell_tables(self, mu, p_d):
+        sc = make_scenario(10.0, 30.0, mu, mu, 100, SystemParams(p_d=p_d))
+        self.assert_matches_searchsorted(np.cumsum(_click_cells(sc)))
+
+    @pytest.mark.parametrize("mu, eta", [(0.5, 0.1), (0.05, 0.9), (1.0, 1.0)])
+    def test_photon_tables(self, mu, eta):
+        for law in _photon_laws(mu, eta):
+            self.assert_matches_searchsorted(np.cumsum(law))
 
 
 class TestPairClicks:
@@ -553,16 +606,46 @@ class TestSiftAndMap:
         }
         assert sum(by_basis.values()) == len(pairs)
         assert by_basis["Z"] > 0 and by_basis["X"] > 0
-        stats = estimate_statistics(pairs, rounds)
+        stats = estimate_statistics(pairs, rounds, sc)
         assert stats.pairs_by_basis == tuple(by_basis.values())
         assert stats.r_s_hat.numerator == by_basis["Z"]
+
+    @staticmethod
+    def assert_matches_reference(rounds, pairs, sc, seed):
+        got, want = sift_and_map(rounds, pairs, sc, seed), reference_sift(rounds, pairs, sc, seed)
+        for name in ("i", "j", "basis", "kappa_a", "kappa_b", "error"):
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected), name
+
+    @pytest.mark.parametrize("e_d", [0.0, 0.04, 0.5])
+    @pytest.mark.parametrize(
+        "distance_a, distance_b, lam", [(10.0, 10.0, 100), (0.0, 40.0, 1), (60.0, 5.0, math.inf)]
+    )
+    def test_matches_reference_on_simulated_rounds(self, distance_a, distance_b, lam, e_d):
+        sc = make_scenario(distance_a, distance_b, 0.5, 0.3, lam, SystemParams(e_d=e_d))
+        rounds = simulate_rounds(sc, 300_000, seed=43)
+        self.assert_matches_reference(rounds, pair_clicks(rounds, sc.lam), sc, seed=43)
+
+    @pytest.mark.parametrize("e_d", [0.0, 0.04, 0.5])
+    def test_matches_reference_on_every_z_pattern(self, e_d):
+        # random detectors and phase slices under each of the 16 z-bit
+        # patterns (z_a[i], z_a[j], z_b[i], z_b[j])
+        sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, SystemParams(e_d=e_d))
+        rng = np.random.Generator(np.random.Philox(47))
+        for a_i, a_j, b_i, b_j in itertools.product((0, 1), repeat=4):
+            rounds = pair_rounds(z_i=(a_i, b_i), z_j=(a_j, b_j), copies=512)
+            for name in ("detector", "phase_a", "phase_b"):
+                high = 2 if name == "detector" else PHASE_SLICES
+                getattr(rounds, name)[:] = rng.integers(0, high, 1024, dtype=np.uint8)
+            self.assert_matches_reference(rounds, pair_clicks(rounds, 1), sc, seed=a_i + 2 * b_j)
 
 
 class TestEstimateStatistics:
     def test_no_clicks_flags_undefined(self):
         sc = make_scenario(100.0, 100.0, 0.5, 0.5, 100, NO_DARK)
         rounds = synthetic_rounds(100)
-        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds, sc)
         assert stats.p_hat.value == 0.0
         assert stats.r_s_hat is None
         assert stats.e_z_hat is None
@@ -571,13 +654,13 @@ class TestEstimateStatistics:
     def test_no_darks_no_z_errors(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=31)
-        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds, sc)
         assert stats.e_z_hat.value == 0.0
 
     def test_statistics_match_model_within_three_sigma(self):
         sc = make_scenario(25.0, 25.0, 0.5, 0.5, 100, NO_DARK)
         rounds = simulate_rounds(sc, 1_000_000, seed=37)
-        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds)
+        stats = estimate_statistics(sifted_pipeline(sc, rounds), rounds, sc)
         ref = key_rate(sc)
         assert stats.p_hat.within_sigmas(ref.p)
         assert stats.r_p_hat.within_sigmas(ref.r_p)
@@ -593,7 +676,7 @@ class TestEstimateStatistics:
         n_seeds = 20
         for seed in range(n_seeds):
             rounds = simulate_rounds(sc, 150_000, seed=seed)
-            stats = estimate_statistics(sifted_pipeline(sc, rounds, seed=seed), rounds)
+            stats = estimate_statistics(sifted_pipeline(sc, rounds, seed=seed), rounds, sc, seed)
             ok = True
             for name, est in (
                 ("p", stats.p_hat),
@@ -606,3 +689,58 @@ class TestEstimateStatistics:
                 ok &= abs(est.value - reference) <= band
             passed += ok
         assert passed >= math.ceil(0.95 * n_seeds)
+
+    def test_single_photon_draws(self, monkeypatch):
+        # q-hat's photon numbers, recorded per Z pair with the uniforms they
+        # come from: they repeat for a fixed seed, stay the same when only
+        # sift_and_map's key changes, share no generator word with the
+        # misalignment draws of the same seed, and follow the Poisson law
+        # given each signal's survived bit.  Dark counts at p_d = 1e-2 put
+        # lost signals in many Z pairs; e_d = 0.5 makes the misalignment
+        # draws readable from the X key bits.
+        sc = make_scenario(10.0, 10.0, 0.5, 0.5, 100, SystemParams(p_d=1e-2, e_d=0.5))
+        rounds = simulate_rounds(sc, 2_000_000, seed=53)
+        drawn = []
+
+        def recording(rng, survived, mu, eta):
+            uniforms = copy.deepcopy(rng).random(survived.size)
+            photons = _photons(rng, survived, mu, eta)
+            drawn.append((survived.copy(), photons, uniforms, mu, eta))
+            return photons
+
+        monkeypatch.setattr(mpqkd.montecarlo, "_photons", recording)
+
+        def draws(sift_seed, seed):
+            drawn.clear()
+            pairs = sifted_pipeline(sc, rounds, seed=sift_seed)
+            stats = estimate_statistics(pairs, rounds, sc, seed)
+            (_, n_a, *_), (_, n_b, *_) = drawn
+            assert n_a.size == n_b.size == stats.r_s_hat.numerator
+            single = np.count_nonzero((n_a == 1) & (n_b == 1))
+            assert stats.q_bar_hat.numerator == single
+            return pairs, list(drawn)
+
+        pairs, first = draws(sift_seed=7, seed=7)
+        other_sift, again = draws(sift_seed=8, seed=7)
+        assert not np.array_equal(pairs.kappa_b, other_sift.kappa_b)
+        for (s_1, n_1, *_), (s_2, n_2, *_) in zip(first, again):
+            assert np.array_equal(s_1, s_2) and np.array_equal(n_1, n_2)
+        _, reseeded = draws(sift_seed=7, seed=8)
+        assert not np.array_equal(first[0][1], reseeded[0][1])
+
+        # X pair k's misalignment flip against Alice's photon uniform k
+        x = np.flatnonzero(pairs.basis == X)
+        i, j = pairs.i[x], pairs.j[x]
+        diff_b = (rounds.phase_b[j].astype(np.int16) - rounds.phase_b[i]) % PHASE_SLICES
+        pattern = rounds.detector[i] != rounds.detector[j]
+        misaligned = (pairs.kappa_b[x] == 1) ^ (diff_b >= PHASE_SLICES // 2) ^ pattern
+        uniforms = first[0][2]
+        k = min(x.size, uniforms.size)
+        below = uniforms[:k][misaligned[:k]] < 0.5
+        assert abs(below.mean() - 0.5) <= 4.0 * 0.5 / math.sqrt(below.size)
+
+        for survived, photons, _, mu, eta in first:
+            for flag, law in zip((False, True), _photon_laws(mu, eta)):
+                at = survived == flag
+                assert at.any(), flag
+                assert_law_within_5_sigma(photons[at], law / law.sum(), flag)

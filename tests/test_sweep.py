@@ -519,10 +519,10 @@ class TestVerifyOracles:
 
     def test_one_point_of_columns_alive_at_a_time(self):
         # Two points of 1e6 rounds each, ~60,000 clicks per point.  Point 0's
-        # columns (1.0 MB) are freed before point 1 simulates, so the whole
+        # columns (0.9 MB) are freed before point 1 simulates, so the whole
         # run peaks where one point's simulate, pair and sift stages do:
-        # measured 3.2 MB, 1.1 MB above one simulate_rounds call (2.1 MB).
-        # Keeping point 0's rounds and pairs alive measured 2.8 MB above it.
+        # measured 2.7 MB, 1.6 MB above one simulate_rounds call (1.1 MB).
+        # Keeping point 0's rounds and pairs alive measured 3.2 MB above it.
         spec = {
             **CUSTOM_BASE,
             "distance_start": 20,
@@ -714,6 +714,33 @@ class TestCli:
         assert main(["verify", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "3ab967c872d40de1d5f9a471d216dc3c244025db55c173290b3fc3a6596d371e"),
+            (2, "d9aa429557e0046ea91934a154c0d31a49d89ef7810e71fd97f542800ce93589"),
+            (3, "d53ab918ac4bd64e5a2c5c70806a38f93689c83da7c188638918a0d9ebcf5c67"),
+        ],
+    )
+    def test_verify_stdout_bytes(self, tmp_path, capsys, seed, digest):
+        # pins the report of the bench verify spec: p, r_p and r_s read the
+        # click positions, the z bits of the click cells and the pairing;
+        # the decoy checks read the bounds.  Phases and photon numbers feed
+        # none of them.
+        spec = {
+            **CUSTOM_BASE,
+            "distance_start": 20,
+            "distance_stop": 20,
+            "distance_step": 5,
+            "delta_list": [0, 10],
+            "seed": seed,
+            "n_rounds": 2_000_000,
+        }
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps(spec))
+        assert main(["verify", "--config", str(config)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_verify_reports_a_failed_check(self, tmp_path, capsys):
         # one round makes no pair: the r_s check fails with deviation inf,
